@@ -172,20 +172,9 @@ def make_algebraic(minpoly, approx) -> AlgebraicReal:
 # rational interval arithmetic (endpoints are Fractions)
 
 
-def iv_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def iv_mul(a, b):
     ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return (min(ps), max(ps))
-
-
-def iv_scale(a, s):
-    s = Fraction(s)
-    if s >= 0:
-        return (a[0] * s, a[1] * s)
-    return (a[1] * s, a[0] * s)
 
 
 def eval_poly_interval(coeffs, iv):

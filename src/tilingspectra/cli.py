@@ -28,12 +28,12 @@ from .spectra import (
     eigenvalue_module,
     eigenvalue_report,
     system_module,
+    system_pisot,
     weak_mixing,
 )
 from .svg import RenderSpec, render_svg
-from .systemfile import parse_system, _parse_vec
+from .systemfile import _parse_vec, parse_system, read_system
 from .tiles import is_primitive, validate
-from .systemfile import system_from_dict
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,7 +150,7 @@ def _run(args, out, err) -> int:
 
     if cmd == "validate":
         # report even when invalid, with exit code 1
-        system = _parse_unvalidated(args.file)
+        system = read_system(args.file)
         report = validate(system)
         payload = report.as_dict()
         _emit(out, payload)
@@ -268,8 +268,6 @@ def _run(args, out, err) -> int:
             print(f"{system.name}: eigenvalue={report.eigenvalue}", file=err)
         else:
             emod = eigenvalue_module(system)
-            from .spectra import system_pisot
-
             payload = {"system": system.name, "pisot": system_pisot(system).pisot}
             payload.update(emod.serialize())
             _emit(out, payload)
@@ -300,23 +298,6 @@ def _run(args, out, err) -> int:
     else:  # pragma: no cover - argparse guards the command set
         raise TilingError(f"unknown command {cmd!r}")
     return 0
-
-
-def _parse_unvalidated(path):
-    import json as _json
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise SystemFileError(f"cannot read {path}: {exc.strerror or exc}") from None
-    try:
-        data = _json.loads(raw)
-    except _json.JSONDecodeError as exc:
-        raise SystemFileError(
-            f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    return system_from_dict(data)
 
 
 def main():

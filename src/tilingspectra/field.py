@@ -34,7 +34,9 @@ class NumberField:
             row = list(r) + [Fraction(0)] * (s - len(r))
             self._red.append(row)
             cur = [Fraction(0)] + list(cur)  # multiply by x
-        self._power_traces = None
+        # an immutable tuple, replaced whole, so concurrent readers never
+        # see a half-built list
+        self._power_traces = (Fraction(s),)
 
     # -- constructors -------------------------------------------------
 
@@ -98,15 +100,16 @@ class NumberField:
         sums follow from p_k = e_1 p_{k-1} - e_2 p_{k-2} + ...
         +/- k e_k, then from the recurrence for k >= s.
         """
+        cached = self._power_traces
+        if len(cached) > upto:
+            return list(cached[: upto + 1])
         s = self.degree
         b = self.minpoly.coeffs
         e = [Fraction(0)] * (s + 1)
         e[0] = Fraction(1)
         for k in range(1, s + 1):
             e[k] = Fraction((-1) ** k * b[s - k])
-        if self._power_traces is None:
-            self._power_traces = [Fraction(s)]
-        p = self._power_traces
+        p = list(cached)
         while len(p) <= upto:
             k = len(p)
             if k <= s:
@@ -120,7 +123,8 @@ class NumberField:
                 for i in range(1, s + 1):
                     acc += (-1) ** (i - 1) * e[i] * p[k - i]
                 p.append(acc)
-        return p[: upto + 1]
+        self._power_traces = tuple(p)
+        return p
 
     def __repr__(self):
         return f"NumberField({self.minpoly})"
@@ -393,6 +397,10 @@ class QThetaVec:
 
     def __eq__(self, other):
         return isinstance(other, QThetaVec) and self.key() == other.key()
+
+    def __lt__(self, other):
+        """Exact lexicographic order of the entries."""
+        return self.entries < other.entries
 
     def __hash__(self):
         return hash(self.key())

@@ -146,7 +146,7 @@ class Polygon:
         """Some exact interior point (lowest-lex vertex construction)."""
         vs = self.vertices
         n = len(vs)
-        vi = min(range(n), key=lambda i: _lex_key_index(vs, i))
+        vi = min(range(n), key=vs.__getitem__)
         v = vs[vi]
         a, b = vs[(vi - 1) % n], vs[(vi + 1) % n]
         inside = []
@@ -175,25 +175,6 @@ class Polygon:
 
     def key(self):
         return tuple(v.key() for v in self.vertices)
-
-
-def _lex_key_index(vs, i):
-    # exact lexicographic comparison via a sortable surrogate is unsafe;
-    # this helper is only used with min() via pairwise comparisons.
-    return _LexVertex(vs[i])
-
-
-class _LexVertex:
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        c = self.v[0].cmp(other.v[0])
-        if c != 0:
-            return c < 0
-        return self.v[1].cmp(other.v[1]) < 0
 
 
 def _strictly_in_triangle(p, a, b, c) -> bool:
@@ -233,22 +214,12 @@ def _edge_fragment_params(a, b, other: Polygon):
                     t = dot(q - a, ab) / ab_sq
                     if t.sign() > 0 and (t - field.one()).sign() < 0:
                         params.append(t)
-    params.sort(key=_ElemKey)
+    params.sort()
     dedup = [params[0]]
     for t in params[1:]:
         if not (t - dedup[-1]).is_zero():
             dedup.append(t)
     return dedup
-
-
-class _ElemKey:
-    __slots__ = ("e",)
-
-    def __init__(self, e):
-        self.e = e
-
-    def __lt__(self, other):
-        return self.e.cmp(other.e) < 0
 
 
 def interiors_overlap(p: Polygon, q: Polygon) -> bool:

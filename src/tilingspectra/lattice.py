@@ -56,20 +56,6 @@ def hnf(rows):
     return [r for r in mat[:top]]
 
 
-def hnf_solve(basis, target):
-    """Integer coordinates of `target` in the Z-span of `basis` rows.
-
-    Returns the coefficient list, or None when target is outside the
-    lattice.  Basis rows must be Z-linearly independent (e.g. HNF output).
-    """
-    coeffs = _rational_row_solve(basis, target)
-    if coeffs is None:
-        return None
-    if any(c.denominator != 1 for c in coeffs):
-        return None
-    return [int(c) for c in coeffs]
-
-
 def _rational_row_solve(basis, target):
     """Solve sum c_i * basis_i = target over Q; None if inconsistent."""
     rows = [[Fraction(v) for v in r] for r in basis]
@@ -101,26 +87,6 @@ def _rational_row_solve(basis, target):
     for row_idx, c in enumerate(piv_cols):
         out[c] = aug[row_idx][m]
     return out
-
-
-def rational_rank(rows) -> int:
-    mat = [[Fraction(v) for v in r] for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        mat[r] = [v / mat[r][c] for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -12,20 +12,9 @@ only) rebuilds the whole order with exact comparisons.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
-from .field import QThetaVec
-
 _SNAPSHOT_WIDTH = Fraction(1, 10**30)
-
-
-def _vec_cmp(a: QThetaVec, b: QThetaVec) -> int:
-    for x, y in zip(a.entries, b.entries):
-        c = x.cmp(y)
-        if c:
-            return c
-    return 0
 
 
 def _approx_and_bound(elem, mid, width, mpow):
@@ -102,16 +91,5 @@ def sorted_by_value(items, vec_of, pre_key=None):
         if pre_key and pre_key(ia) != pre_key(ib):
             continue
         if _certified_cmp(va, ea, vb, eb) > 0:
-            return _exact_sort(items, vec_of, pre_key)
+            return sorted(items, key=lambda it: (pre_key(it), vec_of(it)) if pre_key else vec_of(it))
     return [rec[0] for rec in decorated]
-
-
-def _exact_sort(items, vec_of, pre_key):
-    def cmp(x, y):
-        if pre_key:
-            px, py = pre_key(x), pre_key(y)
-            if px != py:
-                return -1 if px < py else 1
-        return _vec_cmp(vec_of(x), vec_of(y))
-
-    return sorted(items, key=functools.cmp_to_key(cmp))

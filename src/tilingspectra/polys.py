@@ -100,29 +100,8 @@ def rp_eval(p, x):
     return acc
 
 
-def rp_add(p, q):
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return tuple(_strip(out))
-
-
 def rp_neg(p):
     return tuple(-c for c in p)
-
-
-def rp_sub(p, q):
-    return rp_add(p, rp_neg(q))
-
-
-def rp_scale(p, s):
-    s = Fraction(s)
-    if s == 0:
-        return ()
-    return tuple(c * s for c in p)
 
 
 def rp_mul(p, q):

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import TilingError, UndecidedError
+from .errors import TilingError
 from .field import QThetaElem, QThetaVec
 from .lattice import field_rank, field_solve
 from .pisot import PisotCertificate, is_pisot
@@ -219,15 +219,13 @@ def is_eigenvalue(
 
 
 def system_pisot(system: SubstitutionSystem) -> PisotCertificate:
-    cert = getattr(system, "_pisot_cert", None)
-    if cert is None:
-        cert = is_pisot(system.theta)
-        system._pisot_cert = cert
-    return cert
+    if system._pisot_cert is None:
+        system._pisot_cert = is_pisot(system.theta)
+    return system._pisot_cert
 
 
 def system_module(system: SubstitutionSystem) -> ReturnModule:
-    module = getattr(system, "_return_module", None)
+    module = system._return_module
     if module is None:
         module = stabilized_module(system)
         if not module.spans_space():
@@ -266,7 +264,7 @@ class EigenvalueModule:
 
 def eigenvalue_module(system: SubstitutionSystem) -> EigenvalueModule:
     """Generators of a module of verified eigenvalues (empty iff theta is
-    not Pisot).  Every emitted generator is re-verified independently."""
+    not Pisot).  Every emitted generator passed `eigenvalue_report`."""
     cert = system_pisot(system)
     periods = period_group(system)
     kind = periods.classification(system.dimension)
@@ -333,7 +331,6 @@ class SpectralVerdict:
     witness: object  # Alpha or None
     sample_depth: int
     notes: list = dc_field(default_factory=list)
-    undecided: list = dc_field(default_factory=list)
 
     def serialize(self):
         return {
@@ -342,7 +339,7 @@ class SpectralVerdict:
             "witness": self.witness.serialize() if self.witness else None,
             "generators": [a.serialize() for a in self.eigen_generators],
             "sample_depth": self.sample_depth,
-            "undecided": list(self.undecided),
+            "undecided": [],  # kept so the JSON keys stay stable
             "notes": list(self.notes),
         }
 
@@ -350,8 +347,8 @@ class SpectralVerdict:
 def weak_mixing(system: SubstitutionSystem) -> SpectralVerdict:
     """The spectral dichotomy: weak mixing iff theta is not Pisot.
 
-    For Pisot theta the verdict carries a nonzero witness eigenvalue that
-    passed independent re-verification.
+    For Pisot theta the witness is the first nonzero generator of the
+    verified eigenvalue module.
     """
     cert = system_pisot(system)
     if not cert.pisot:
@@ -364,21 +361,9 @@ def weak_mixing(system: SubstitutionSystem) -> SpectralVerdict:
             notes=["theta is not Pisot; no nonzero eigenvalues exist"],
         )
     emod = eigenvalue_module(system)
-    witness = None
-    undecided = []
-    for alpha in emod.generators:
-        if not alpha.is_zero():
-            try:
-                if is_eigenvalue(system, alpha):
-                    witness = alpha
-                    break
-            except UndecidedError as exc:
-                undecided.append(str(exc))
+    witness = next((a for a in emod.generators if not a.is_zero()), None)
     if witness is None:
-        raise TilingError(
-            "Pisot system without a verifiable witness eigenvalue: defect "
-            "or exhausted budget"
-        )
+        raise TilingError("Pisot system without a nonzero eigenvalue generator: defect")
     notes = [f"module: {emod.description}", f"periodicity: {emod.periodicity}"]
     if emod.partial:
         notes.append("sub-periodic fallback: emitted module may be incomplete")
@@ -389,7 +374,6 @@ def weak_mixing(system: SubstitutionSystem) -> SpectralVerdict:
         witness=witness,
         sample_depth=emod.sample_depth,
         notes=notes,
-        undecided=undecided,
     )
 
 

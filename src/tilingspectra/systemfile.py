@@ -26,6 +26,13 @@ _DECIMAL_RE = re.compile(r"^-?\d+(\.\d+)?$")
 
 def parse_system(path) -> SubstitutionSystem:
     """Load, parse and validate a system file; raises with diagnostics."""
+    system = read_system(path)
+    validate(system).raise_if_invalid()
+    return system
+
+
+def read_system(path) -> SubstitutionSystem:
+    """Load and parse a system file without geometric validation."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -37,10 +44,7 @@ def parse_system(path) -> SubstitutionSystem:
         raise SystemFileError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    system = system_from_dict(data)
-    report = validate(system)
-    report.raise_if_invalid()
-    return system
+    return system_from_dict(data)
 
 
 def system_from_dict(data) -> SubstitutionSystem:

@@ -164,8 +164,11 @@ class SubstitutionSystem:
             if not (0 <= idx < len(self.rules[tid])):
                 raise TilingError(f"control_child index {idx} out of range for {tid!r}")
         self.declared_periods = list(declared_periods)
+        # lazily filled caches: each is a value computed from the immutable
+        # rules, so a racing recomputation stores an equal result
         self._matrix = None
-        self._validation = None
+        self._pisot_cert = None  # spectra.system_pisot
+        self._return_module = None  # spectra.system_module
 
     # -- basic views -----------------------------------------------------
 
@@ -214,27 +217,26 @@ class SubstitutionSystem:
         total = sum(power[i][j] for i in range(len(self.order)))
         if total > budget:
             raise BudgetError(f"grow would produce {total} tiles (budget {budget})")
-        g = self.theta_elem()
         tiles = [PlacedTile(tid, self.zero_vec())]
         for _ in range(n):
-            new = []
-            for t in tiles:
-                base = t.offset.scale(g)
-                for ch in self.rules[t.proto]:
-                    new.append(PlacedTile(ch.proto, base + ch.offset))
-            tiles = new
+            tiles = self._substitute(tiles)
         assert len(tiles) == total
         return Patch(tiles)
 
     def substitute_patch(self, patch: Patch) -> Patch:
         """One substitution step applied to an arbitrary patch."""
+        return Patch(self._substitute(patch))
+
+    def _substitute(self, tiles):
+        """Children of every tile, unsorted; each parent offset is scaled
+        once, not once per child."""
         g = self.theta_elem()
         new = []
-        for t in patch:
+        for t in tiles:
             base = t.offset.scale(g)
             for ch in self.rules[t.proto]:
                 new.append(PlacedTile(ch.proto, base + ch.offset))
-        return Patch(new)
+        return new
 
     # -- supports -----------------------------------------------------------
 
@@ -348,7 +350,6 @@ def validate(system: SubstitutionSystem) -> ValidationReport:
         f"self-reproducing seed tiles at the origin: {seeds}" if seeds
         else "no rule keeps its own type at offset 0 (informational)",
     )
-    system._validation = rep
     return rep
 
 
@@ -384,7 +385,7 @@ def _validate_rule_1d(system, rep, tid, proto, children, theta):
     rep.add(f"rule[{tid}].containment", ok, detail)
 
     # gap-free chain of sorted endpoints
-    segs_sorted = sorted(segs, key=lambda s: _rational_key(s[0]))
+    segs_sorted = sorted(segs, key=lambda s: s[0])
     ok = segs_sorted[0][0].is_zero()
     detail = "" if ok else "first child does not start at 0"
     if ok:
@@ -397,22 +398,6 @@ def _validate_rule_1d(system, rep, tid, proto, children, theta):
         ok = False
         detail = "last child does not reach theta * length"
     rep.add(f"rule[{tid}].chain", ok, detail)
-
-
-def _rational_key(elem: QThetaElem):
-    if elem.field.degree == 1:
-        return (elem.coeffs[0],)
-    return _ElemOrder(elem)
-
-
-class _ElemOrder:
-    __slots__ = ("e",)
-
-    def __init__(self, e):
-        self.e = e
-
-    def __lt__(self, other):
-        return self.e.cmp(other.e) < 0
 
 
 def _validate_rule_2d(system, rep, tid, proto, children, theta):
@@ -644,10 +629,7 @@ def _covered_radius_sq(system, patch: Patch):
     """Squared distance from the origin to the uncovered region; None when
     the origin itself is not covered."""
     if system.dimension == 1:
-        segs = sorted(
-            (system.tile_interval(t) for t in patch),
-            key=lambda s: _rational_key(s[0]),
-        )
+        segs = sorted((system.tile_interval(t) for t in patch), key=lambda s: s[0])
         merged = []
         for a, b in segs:
             if merged and (a - merged[-1][1]).sign() <= 0:
@@ -684,7 +666,7 @@ def _covered_radius_sq_2d(system, patch: Patch):
                 if point_on_segment(q, a, b):
                     t = (q - a).dot(ab) / ab_sq
                     params.append(t)
-            params.sort(key=_ElemOrder)
+            params.sort()
             frags = [params[0]]
             for t in params[1:]:
                 if not (t - frags[-1]).is_zero():

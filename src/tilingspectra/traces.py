@@ -100,15 +100,6 @@ def dist_to_int_limit(x: QThetaElem, budget: int = DEFAULT_STATE_BUDGET) -> Trac
     return TraceSequenceReport(x, denom, pre, period, on_cycle_zero)
 
 
-def theta_power_multiple(x: QThetaElem, n: int) -> QThetaElem:
-    """theta^n * x, exact."""
-    g = x.field.gen()
-    out = x
-    for _ in range(n):
-        out = out * g
-    return out
-
-
 def dist_to_int(x: QThetaElem, precision=Fraction(1, 10**25)) -> Fraction:
     """dist(x, Z) as a rational approximation with error below `precision`.
 
@@ -123,19 +114,3 @@ def dist_to_int(x: QThetaElem, precision=Fraction(1, 10**25)) -> Fraction:
     mid = (lo + hi) / 2
     nearest = Fraction(round(mid))
     return abs(mid - nearest)
-
-
-def dist_sequence(x: QThetaElem, n_range, precision=Fraction(1, 10**25)):
-    """[dist(theta^n x, Z) for n in n_range], each exact to `precision`."""
-    ns = list(n_range)
-    if not ns:
-        return []
-    g = x.field.gen()
-    out = []
-    cur = x * g**ns[0]
-    prev = ns[0]
-    for n in ns:
-        cur = cur * g ** (n - prev)
-        prev = n
-        out.append(dist_to_int(cur, precision))
-    return out

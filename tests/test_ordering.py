@@ -1,0 +1,63 @@
+from fractions import Fraction
+from math import isqrt
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tilingspectra import IntPoly, NumberField, QThetaVec, golden_field, make_algebraic
+from tilingspectra.ordering import sorted_by_value
+
+FIELDS = {
+    2: golden_field(),
+    3: NumberField(make_algebraic(IntPoly((-1, -1, 0, 1)), Fraction(133, 100))),
+}
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def tagged_vectors(draw):
+    """(field, [(tag, vector)]) with small coordinates, so ties are common."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    dim = draw(st.integers(1, 2))
+    elem = st.lists(rationals, min_size=field.degree, max_size=field.degree).map(field.elem)
+    vec = st.lists(elem, min_size=dim, max_size=dim).map(field.vec)
+    items = draw(st.lists(st.tuples(st.sampled_from("ab"), vec), max_size=12))
+    return field, items
+
+
+@settings(max_examples=60, deadline=None)
+@given(tagged_vectors(), st.booleans())
+def test_sorted_by_value_matches_exact_order(case, grouped):
+    _, items = case
+    if grouped:
+        got = sorted_by_value(items, lambda it: it[1], pre_key=lambda it: it[0])
+        assert got == sorted(items, key=lambda it: (it[0], it[1]))
+    else:
+        got = sorted_by_value(items, lambda it: it[1])
+        assert got == sorted(items, key=lambda it: it[1])
+
+
+@pytest.mark.parametrize("pre_key", [None, lambda v: 0])
+def test_exact_fallback_on_sub_snapshot_gaps(monkeypatch, pre_key):
+    """Rationals within 1e-60 of theta on both sides: the snapshot of theta
+    (width below 1e-30) cannot separate them, so its approximate order puts
+    one on the wrong side of theta and the exact order has to take over."""
+    K = golden_field()
+    scale = 10**60
+    lo = Fraction(scale + isqrt(5 * scale * scale), 2 * scale)  # (1 + sqrt 5) / 2
+    hi = lo + Fraction(1, 2 * scale)
+    expected = [K.vec([lo]), K.vec([K.gen()]), K.vec([hi])]
+
+    exact_comparisons = []
+    exact_lt = QThetaVec.__lt__
+
+    def spy(a, b):
+        exact_comparisons.append((a, b))
+        return exact_lt(a, b)
+
+    monkeypatch.setattr(QThetaVec, "__lt__", spy)
+    got = sorted_by_value(expected[::-1], lambda v: v, pre_key=pre_key)
+    assert got == expected
+    assert exact_comparisons

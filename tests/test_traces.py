@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,8 @@ from tilingspectra import (
     make_algebraic,
     trace,
 )
-from tilingspectra.traces import dist_sequence, dist_to_int
+from tilingspectra.spectra import exact_dist_sequence
+from tilingspectra.traces import dist_to_int
 
 
 def lucas_oracle(n):
@@ -80,6 +83,36 @@ def test_newton_matches_companion_oracle():
         assert K.power_traces(12) == [Fraction(v) for v in companion_trace_oracle(mp, 12)]
 
 
+def test_power_traces_concurrent_fill():
+    """Four threads filling one field's trace cache at once all get the
+    single-thread traces; a fine switch interval makes them interleave."""
+    mp = IntPoly((-1, -1, 0, 1))  # x^3 - x - 1
+    approx = Fraction(133, 100)
+    reference = NumberField(make_algebraic(mp, approx)).power_traces(300)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # without the immutable cache about half the trials were corrupted
+        for _ in range(100):
+            K = NumberField(make_algebraic(mp, approx))
+            barrier = threading.Barrier(4)
+            results = [None] * 4
+
+            def fill(i):
+                barrier.wait(timeout=30)
+                results[i] = K.power_traces(300)
+
+            threads = [threading.Thread(target=fill, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert all(r == reference for r in results)
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
 def test_lucas_mod3_never_eventually_zero(K):
     # brute-force oracle over one period
     lucas = lucas_oracle(40)
@@ -118,7 +151,7 @@ def test_dist_decay_for_verified_limit(K):
     report = dist_to_int_limit(K.one())
     assert report.eventually_integer
     lo_n = report.preperiod + 20
-    dists = dist_sequence(K.one(), range(lo_n, report.preperiod + 41))
+    dists = exact_dist_sequence(K.one(), report.preperiod + 40)[lo_n:]
     assert all(d < Fraction(1, 1000) for d in dists)
 
 
