@@ -7,6 +7,7 @@ number (sign, comparison, decimal digits) is answered by refining it.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 
 from .errors import PrecisionError, TilingError
@@ -21,18 +22,21 @@ class AlgebraicReal:
     never changes the selected root.
     """
 
-    __slots__ = ("minpoly", "_lo", "_hi", "warnings")
+    __slots__ = ("minpoly", "_interval", "_lock", "warnings")
 
     def __init__(self, minpoly: IntPoly, lo: Fraction, hi: Fraction, warnings=()):
         self.minpoly = minpoly
-        self._lo = Fraction(lo)
-        self._hi = Fraction(hi)
+        lo, hi = Fraction(lo), Fraction(hi)
+        # one (lo, hi) tuple, replaced whole and only by a narrower one, so
+        # concurrent readers see a consistent pair that never widens
+        self._interval = (lo, hi)
+        self._lock = threading.Lock()
         self.warnings = tuple(warnings)
-        if not (self._lo < self._hi):
+        if not (lo < hi):
             raise TilingError("empty isolating interval")
-        if minpoly(self._lo) == 0 or minpoly(self._hi) == 0:
+        if minpoly(lo) == 0 or minpoly(hi) == 0:
             raise TilingError("isolating interval endpoints must not be roots")
-        if sturm_count(minpoly.as_fractions(), self._lo, self._hi) != 1:
+        if sturm_count(minpoly.as_fractions(), lo, hi) != 1:
             raise TilingError("interval does not isolate exactly one root")
 
     @property
@@ -41,15 +45,17 @@ class AlgebraicReal:
 
     @property
     def interval(self):
-        return (self._lo, self._hi)
+        return self._interval
 
     def width(self) -> Fraction:
-        return self._hi - self._lo
+        lo, hi = self._interval
+        return hi - lo
 
     def refine(self, steps: int = 1):
-        """Bisect the isolating interval `steps` times."""
+        """Bisect the isolating interval `steps` times.  Another thread
+        may have narrowed it meanwhile; the narrower interval is kept."""
         p = self.minpoly
-        lo, hi = self._lo, self._hi
+        lo, hi = self._interval
         slo = 1 if p(lo) > 0 else -1
         for _ in range(steps):
             mid = (lo + hi) / 2
@@ -68,8 +74,11 @@ class AlgebraicReal:
                 lo = mid
             else:
                 hi = mid
-        self._lo, self._hi = lo, hi
-        return lo, hi
+        with self._lock:
+            old_lo, old_hi = self._interval
+            if hi - lo < old_hi - old_lo:
+                self._interval = (lo, hi)
+            return self._interval
 
     def refine_below(self, width: Fraction):
         """Shrink the interval until it is narrower than `width`."""
@@ -87,21 +96,22 @@ class AlgebraicReal:
     def cmp_rational(self, r) -> int:
         """Exact sign of (self - r)."""
         r = Fraction(r)
-        if self.minpoly(r) == 0 and self._lo < r < self._hi:
+        lo, hi = self._interval
+        if self.minpoly(r) == 0 and lo < r < hi:
             return 0
-        while self._lo < r < self._hi:
-            self.refine()
-        if r <= self._lo:
+        while lo < r < hi:
+            lo, hi = self.refine()
+        if r <= lo:
             return 1
         return -1
 
     def __float__(self) -> float:
-        self.refine_below(Fraction(1, 10**20))
-        return float((self._lo + self._hi) / 2)
+        lo, hi = self.refine_below(Fraction(1, 10**20))
+        return float((lo + hi) / 2)
 
     def to_decimal(self, digits: int = 15) -> str:
-        self.refine_below(Fraction(1, 10 ** (digits + 5)))
-        mid = (self._lo + self._hi) / 2
+        lo, hi = self.refine_below(Fraction(1, 10 ** (digits + 5)))
+        mid = (lo + hi) / 2
         return format(float(mid), f".{digits}g")
 
     def __repr__(self):

@@ -1,52 +1,30 @@
 """Fast exact value-ordering of Q(theta) vectors.
 
-Sorting thousands of tiles with one interval refinement per comparison is
-painful; instead each element gets a rational approximation at a frozen
-theta interval together with a sound error bound.  Sorting by the
-approximations is verified on adjacent items: coordinates with equal
-power-basis coefficients are equal, a gap larger than the summed error
-bounds certifies strict order, anything tighter falls back to one exact
-sign computation, and a certified inversion (adversarial coefficients
-only) rebuilds the whole order with exact comparisons.
+Vectors are ordered in their integer form (see `intlattice`): rows of
+integer power-basis coordinates over one positive denominator, which
+does not change the order.  Degree 1 sorts the integers themselves.
+Higher degrees sort by float64 keys, row @ (theta^k), with theta^k taken
+from a frozen isolating interval of theta narrower than 1e-30, and each
+key carries a sound bound on its distance from the exact value: the
+interval's width plus float rounding of the conversions, products and
+sums.  The sorted order is verified on adjacent items: entries with
+equal coefficients are equal, a gap larger than the summed bounds
+certifies strict order, anything tighter falls back to one exact sign
+computation, and an inversion (adversarial coefficients only) rebuilds
+the whole order with exact comparisons.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
+from .algebraic import iv_mul
+from .intlattice import embed, vectors
+
 _SNAPSHOT_WIDTH = Fraction(1, 10**30)
-
-
-def _approx_and_bound(elem, mid, width, mpow):
-    """(rational approximation at mid, sound |value - approx| bound)."""
-    coeffs = elem.coeffs
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * mid + c
-    err = Fraction(0)
-    for k in range(1, len(coeffs)):
-        c = coeffs[k]
-        if c:
-            err += k * abs(c) * mpow[k - 1]
-    return acc, err * width
-
-
-def _certified_cmp(va, ea, vb, eb) -> int:
-    """Exact lexicographic comparison using the certificates where they
-    suffice and exact signs where they do not."""
-    for i in range(va.dim):
-        xa, xb = va.entries[i], vb.entries[i]
-        if xa.coeffs == xb.coeffs:
-            continue
-        (aa, ra), (ab, rb) = ea[i], eb[i]
-        if ab - aa > ra + rb:
-            return -1
-        if aa - ab > ra + rb:
-            return 1
-        c = xa.cmp(xb)
-        if c:
-            return c
-    return 0
+_U = 2.0**-53  # unit roundoff of float64
 
 
 def sorted_by_value(items, vec_of, pre_key=None):
@@ -55,41 +33,92 @@ def sorted_by_value(items, vec_of, pre_key=None):
     items = list(items)
     if len(items) <= 1:
         return items
-    field = vec_of(items[0]).field
+    vecs = [vec_of(it) for it in items]
+    coords, den = embed(vecs)
+    groups = None
+    if pre_key:
+        keys = [pre_key(it) for it in items]
+        rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+        groups = np.array([rank[k] for k in keys], dtype=np.int64)
+    perm = value_order(vecs[0].field, coords, den, groups, vecs.__getitem__)
+    return [items[i] for i in perm]
+
+
+def value_order(field, coords, den, groups=None, exact_vec=None):
+    """Indices of the rows of coords / den in exact (group, value) order;
+    stable for equal vectors.  `exact_vec(i)` gives row i as a QThetaVec
+    for the exact fallback (built from the row by default)."""
+    n = len(coords)
+    if groups is None:
+        groups = np.zeros(n, dtype=np.int64)
+    if exact_vec is None:
+
+        def exact_vec(i):
+            return vectors(field, coords[i : i + 1], den)[0]
+
+    def exact_order():
+        return sorted(range(n), key=lambda i: (int(groups[i]), exact_vec(i)))
+
+    if n <= 1:
+        return list(range(n))
     if field.degree == 1:
+        if coords.dtype == object:
+            rows = coords.tolist()
+            return sorted(range(n), key=lambda i: (int(groups[i]), rows[i]))
+        return np.lexsort([*coords.T[::-1], groups]).tolist()
 
-        def key(it):
-            k = tuple(e.coeffs[0] for e in vec_of(it).entries)
-            return (pre_key(it), k) if pre_key else k
+    keys = _float_keys(field, coords)
+    if keys is None:
+        return exact_order()
+    approx, bound = keys
+    perm = np.lexsort([*approx.T[::-1], groups])
+    a, b = perm[:-1], perm[1:]
+    d = approx.shape[1]
+    differs = (coords[a] != coords[b]).reshape(len(a), d, -1).any(axis=2)
+    pairs = np.nonzero((groups[a] == groups[b]) & differs.any(axis=1))[0]
+    entry = differs[pairs].argmax(axis=1)
+    a, b = a[pairs], b[pairs]
+    gap = approx[b, entry] - approx[a, entry]
+    tol = (bound[a, entry] + bound[b, entry]) * (1 + 1e-6)
+    if (gap < -tol).any():
+        return exact_order()
+    for k in np.nonzero(gap <= tol)[0].tolist():
+        i, j, e = int(a[k]), int(b[k]), int(entry[k])
+        if exact_vec(i)[e].cmp(exact_vec(j)[e]) > 0:
+            return exact_order()
+    return perm.tolist()
 
-        return sorted(items, key=key)
 
+def _float_keys(field, coords):
+    """(approx, bound), each (n, d): approx[i, k] is a float64 value of
+    entry k of row i (times the denominator) and |approx - exact| <=
+    bound.  None when the rows do not fit float64."""
+    s = field.degree
     theta = field.theta
     if theta.width() > _SNAPSHOT_WIDTH:
         theta.refine_below(_SNAPSHOT_WIDTH)
-    lo, hi = theta.interval
-    mid = (lo + hi) / 2
-    width = hi - lo
-    m = max(abs(lo), abs(hi))
-    mpow = [Fraction(1)]
-    for _ in range(field.degree - 1):
-        mpow.append(mpow[-1] * m)
-
-    decorated = []
-    for it in items:
-        v = vec_of(it)
-        certs = [_approx_and_bound(e, mid, width, mpow) for e in v.entries]
-        decorated.append((it, v, certs))
-
-    def sort_key(rec):
-        approx = tuple(a for a, _ in rec[2])
-        return (pre_key(rec[0]), approx) if pre_key else approx
-
-    decorated.sort(key=sort_key)
-
-    for (ia, va, ea), (ib, vb, eb) in zip(decorated, decorated[1:]):
-        if pre_key and pre_key(ia) != pre_key(ib):
-            continue
-        if _certified_cmp(va, ea, vb, eb) > 0:
-            return sorted(items, key=lambda it: (pre_key(it), vec_of(it)) if pre_key else vec_of(it))
-    return [rec[0] for rec in decorated]
+    iv = theta.interval  # one snapshot, read once
+    power = (Fraction(1), Fraction(1))
+    t, err = [], []
+    for _ in range(s):
+        mid = float((power[0] + power[1]) / 2)
+        t.append(mid)
+        # rounded up past float conversion of the rational distance
+        err.append(float(max(power[1] - Fraction(mid), Fraction(mid) - power[0])) * (1 + 4 * _U))
+        power = iv_mul(power, iv)
+    t = np.array(t)
+    # |fl(x) - x| <= u|x| per coordinate, and a float dot product of s
+    # terms errs by at most s*u times the sum of the absolute terms
+    weight = np.array(err) + (2 * s + 4) * _U * np.abs(t)
+    try:
+        x = coords.astype(np.float64)
+    except OverflowError:
+        return None
+    if not np.isfinite(x).all():
+        return None
+    x = x.reshape(len(coords), -1, s)
+    approx = x @ t
+    bound = (np.abs(x) @ weight) * (1 + 1e-6)
+    if not (np.isfinite(approx).all() and np.isfinite(bound).all()):
+        return None
+    return approx, bound

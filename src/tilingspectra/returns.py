@@ -18,13 +18,30 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
+
 from .errors import BudgetError, TilingError
 from .field import NumberField, QThetaVec
+from .intlattice import (
+    abs_max,
+    embed,
+    fits,
+    int_array,
+    matmul,
+    pack,
+    radix,
+    reduce_rows,
+    unique_rows,
+    unpack,
+    vectors,
+)
 from .lattice import field_rank, field_solve, hnf, _rational_row_solve, charpoly
+from .ordering import value_order
 from .tiles import SubstitutionSystem
 
 DEFAULT_PAIR_BUDGET = 40_000_000
-_INT_FAST_LIMIT = 1 << 40
+_FFT_CELL_BUDGET = 30_000_000
+_DENSE_BLOCK_BYTES = 8 << 20  # cap on one block of dense differences
 
 
 @dataclass
@@ -32,15 +49,16 @@ class ReturnSample:
     depth: int
     vectors: list  # QThetaVec, deduplicated, canonical order
     dimension: int
+    # integer form of `vectors` (see `intlattice`); embedded when omitted
+    coords: object = dc_field(default=None, repr=False, compare=False)
+    den: int = dc_field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.coords is None:
+            self.coords, self.den = embed(self.vectors)
 
     def __len__(self):
         return len(self.vectors)
-
-
-def sort_vectors(vecs):
-    from .ordering import sorted_by_value
-
-    return sorted_by_value(vecs, lambda v: v)
 
 
 def enumerate_returns(
@@ -51,112 +69,115 @@ def enumerate_returns(
     if depth < 0:
         raise TilingError("depth must be nonnegative")
     field = system.field
-    s = field.degree
-    d = system.dimension
-    seen = set()
+    width = field.degree * system.dimension
+    den = system.lattice_form().den
+    found = []
     pair_count = 0
     for tid in system.order:
-        patch = system.grow(tid, depth)
-        groups = {}
-        for t in patch:
-            groups.setdefault(t.proto, []).append(t.offset)
-        for offsets in groups.values():
+        types, coords, _ = system.grow_lattice(tid, depth)
+        for p in range(len(system.order)):
+            offsets = coords[types == p]
             n = len(offsets)
             if n < 2:
                 continue
             pair_count += n * (n - 1)
             if pair_count > budget:
                 raise BudgetError(f"return enumeration exceeds pair budget {budget}")
-            _group_difference_keys(offsets, seen)
-    out = []
-    for key in seen:
-        den = key[0]
-        coords = [Fraction(v, den) for v in key[1:]]
-        entries = [field.elem(coords[k * s : (k + 1) * s]) for k in range(d)]
-        out.append(QThetaVec(tuple(entries)))
-    return ReturnSample(depth=depth, vectors=sort_vectors(out), dimension=d)
-
-
-_FFT_CELL_BUDGET = 30_000_000
+            found.append(_difference_rows(offsets))
+    # concatenating int64 with object rows gives Python ints throughout
+    rows = unique_rows(np.concatenate(found)) if found else np.zeros((0, width), dtype=np.int64)
+    rows = rows[(rows != 0).any(axis=1)]
+    rows = rows[value_order(field, rows, den)]
+    return ReturnSample(
+        depth=depth,
+        vectors=vectors(field, rows, den),
+        dimension=system.dimension,
+        coords=rows,
+        den=den,
+    )
 
 
 def _group_difference_keys(offsets, seen):
-    """Add (denominator, *scaled coords) keys of nonzero pairwise
-    differences to `seen`.  Differences are computed on integer-embedded
-    power-basis coordinates, which is exact; the set of differences is
-    the support of the patch autocorrelation, so bounded-span groups go
-    through an FFT instead of materializing n^2 rows."""
-    rows = []
-    den = 1
-    for v in offsets:
-        row = []
-        for e in v.entries:
-            row.extend(e.coeffs)
-        rows.append(row)
-        for c in row:
-            den = lcm(den, c.denominator)
-    ints = [[int(c * den) for c in row] for row in rows]
-
-    def add(row):
+    """Add (denominator, *scaled coords) keys of the nonzero pairwise
+    differences of the QThetaVecs `offsets` to `seen`, each key in lowest
+    terms."""
+    coords, den = embed(offsets)
+    for row in _difference_rows(coords).tolist():
         if any(row):
             g = den
             for v in row:
                 g = gcd(g, abs(v))
             seen.add((den // g, *(v // g for v in row)))
 
-    if all(abs(v) < _INT_FAST_LIMIT for row in ints for v in row):
-        import numpy as np
 
-        arr = np.array(ints, dtype=np.int64)
-        if len(ints) >= 64 and _autocorrelation_keys(arr, add):
-            return
-        diffs = (arr[:, None, :] - arr[None, :, :]).reshape(-1, arr.shape[1])
-        uniq = np.unique(diffs, axis=0)
-        for row in uniq.tolist():
-            add(row)
-        return
-    local = set()
-    for i in range(len(ints)):
-        for j in range(len(ints)):
-            if i != j:
-                local.add(tuple(a - b for a, b in zip(ints[i], ints[j])))
-    for row in local:
-        add(list(row))
+def _difference_rows(arr):
+    """Unique rows of arr[i] - arr[j] over all i, j (the zero row
+    included).  The set of differences is the support of the patch
+    autocorrelation, so a group whose bounding box has fewer cells than
+    it has pairs goes through an FFT instead of n^2 differences."""
+    if len(arr) >= 64 and arr.dtype != object and fits(2 * abs_max(arr)):
+        rows = _autocorrelation_rows(arr)
+        if rows is not None:
+            return rows
+    return _dense_differences(arr)
 
 
-def _autocorrelation_keys(arr, add) -> bool:
-    """Difference set via FFT autocorrelation on the occupancy grid.
+def _dense_differences(arr):
+    """Pairwise differences, deduplicated.  Each row packs into one
+    integer key (see `intlattice.pack`) whose radix leaves room for every
+    difference, so key(x - y) = key(x) - key(y) + const; the keys are
+    subtracted in row blocks of at most _DENSE_BLOCK_BYTES and
+    deduplicated block by block, so memory stays bounded by the cap and
+    the size of the difference set."""
+    n = len(arr)
+    lo = arr.min(axis=0).tolist()
+    ext = [h - l for l, h in zip(lo, arr.max(axis=0).tolist())]
+    strides = radix([2 * e + 1 for e in ext])
+    keys = pack(arr, lo, strides)
+    shifted = keys + sum(e * s for e, s in zip(ext, strides[1:]))
+    step = max(1, _DENSE_BLOCK_BYTES // (8 * n))
+    parts, held, merged = [], 0, 0
+    for i in range(0, n, step):
+        parts.append(np.unique(shifted[i : i + step, None] - keys[None, :]))
+        held += len(parts[-1])
+        if len(parts) > 1 and 8 * held > _DENSE_BLOCK_BYTES + 16 * merged:
+            parts = [np.unique(np.concatenate(parts))]
+            held = merged = len(parts[0])
+    return unpack(np.unique(np.concatenate(parts)), [-e for e in ext], strides)
 
-    Counts are integers approximated to ~1e-8, so the > 0.5 test is a
-    sound presence check; the emitted difference coordinates are exact.
-    Returns False when the bounding box is too large to rasterize.
+
+def _autocorrelation_rows(arr):
+    """Difference rows via FFT autocorrelation on the occupancy grid.
+
+    The autocorrelation counts pairs per difference; its float values
+    are rounded, and trusted only when the zero difference counts every
+    point once and all counts add up to n^2 (else None, and the caller
+    takes the dense path).  The difference coordinates come from grid
+    indices, so they are exact.  None also when the box has more cells
+    than there are pairs (the dense path is cheaper) or than
+    _FFT_CELL_BUDGET.
     """
-    import numpy as np
-
+    n = len(arr)
     mins = arr.min(axis=0)
-    extents = (arr.max(axis=0) - mins + 1).astype(np.int64)
+    extents = arr.max(axis=0) - mins + 1
     full = 2 * extents - 1
     cells = 1
-    for e in full:
-        cells *= int(e)
-        if cells > _FFT_CELL_BUDGET:
-            return False
-    grid = np.zeros(tuple(int(e) for e in extents), dtype=np.float64)
+    for e in full.tolist():
+        cells *= e
+        if cells > min(_FFT_CELL_BUDGET, n * n):
+            return None
+    grid = np.zeros(tuple(extents.tolist()), dtype=np.float64)
     grid[tuple((arr - mins).T)] = 1.0
-    shape = tuple(int(e) for e in full)
+    shape = tuple(full.tolist())
     axes = tuple(range(grid.ndim))
     spec = np.fft.rfftn(grid, s=shape, axes=axes)
-    corr = np.fft.irfftn(spec * np.conj(spec), s=shape, axes=axes)
-    hits = np.argwhere(corr > 0.5)
-    shift = extents - 1
+    counts = np.rint(np.fft.irfftn(spec * np.conj(spec), s=shape, axes=axes))
+    if counts[(0,) * grid.ndim] != n or counts.sum() != n * n:
+        return None
+    hits = np.argwhere(counts > 0)
     # irfftn indexes circularly: index k stands for difference k, with
     # k > extent-1 wrapping to k - full
-    for idx in hits.tolist():
-        row = []
-        for k, e, f in zip(idx, extents.tolist(), full.tolist()):
-            row.append(k if k <= e - 1 else k - f)
-        add(row)
-    return True
+    return np.where(hits <= extents - 1, hits, hits - full).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +208,8 @@ class ReturnModule:
 
     def member_coordinates(self, v: QThetaVec):
         """Integer coordinates of v in the Z-span, or None."""
-        emb = _embed(v)
-        den = 1
-        for c in emb:
-            den = lcm(den, c.denominator)
-        scale_num = self.denominator
         # solve over Q against the HNF rows of D*generators
-        target = [c * scale_num for c in emb]
+        target = [c * self.denominator for e in v.entries for c in e.coeffs]
         coeffs = _rational_row_solve(self.hnf_rows, target)
         if coeffs is None:
             return None
@@ -213,35 +229,15 @@ class ReturnModule:
         return out
 
 
-def _embed(v: QThetaVec):
-    out = []
-    for e in v.entries:
-        out.extend(e.coeffs)
-    return out
-
-
 def group_basis(sample: ReturnSample, field: NumberField = None) -> ReturnModule:
     """Canonical basis of the group generated by the sampled vectors."""
     if not sample.vectors:
         raise TilingError("empty return sample has no group basis")
     field = field or sample.vectors[0].field
-    s = field.degree
-    den = 1
-    embedded = [_embed(v) for v in sample.vectors]
-    for row in embedded:
-        for c in row:
-            den = lcm(den, c.denominator)
-    int_rows = [[int(c * den) for c in row] for row in embedded]
-    basis = hnf(int_rows)
-    generators = []
-    for row in basis:
-        coords = [Fraction(x, den) for x in row]
-        entries = [
-            field.elem(coords[k * s : (k + 1) * s]) for k in range(sample.dimension)
-        ]
-        generators.append(QThetaVec(entries))
+    coords, den = reduce_rows(sample.coords, sample.den)
+    basis = hnf(coords.tolist())
     return ReturnModule(
-        generators=generators,
+        generators=vectors(field, int_array(basis, coords.shape[1]), den),
         denominator=den,
         hnf_rows=basis,
         sample_depth=sample.depth,
@@ -251,14 +247,10 @@ def group_basis(sample: ReturnSample, field: NumberField = None) -> ReturnModule
 
 
 def _lattice_key(module: ReturnModule):
-    """Canonical form of the rational lattice for equality testing."""
-    rows = [[Fraction(x, module.denominator) for x in row] for row in module.hnf_rows]
-    den = 1
-    for row in rows:
-        for c in row:
-            den = lcm(den, c.denominator)
-    scaled = [[int(c * den) for c in row] for row in rows]
-    return (den, tuple(tuple(r) for r in hnf(scaled)))
+    """Canonical form of the rational lattice for equality testing:
+    group_basis keeps the smallest denominator, so (denominator, HNF
+    rows) determines the lattice."""
+    return (module.denominator, tuple(map(tuple, module.hnf_rows)))
 
 
 def stabilized_module(
@@ -426,33 +418,48 @@ class KenyonBasis:
     seeds: list  # e_j control-point differences the basis came from
     denominator: int
     verified_count: int
-    _inverse: list = dc_field(default=None, repr=False)
+    _coordinate_map: tuple = dc_field(default=None, repr=False, compare=False)
 
-    def _inverse_matrix(self):
-        """Columns of B^-1 where B has the basis vectors as columns."""
-        if self._inverse is None:
+    def _integer_map(self):
+        """(T, L) with T an integer (d*s, d*s) matrix and L > 0 such that
+        row @ T / L holds the power-basis coordinates, over the basis, of
+        the vector whose power-basis coordinates are `row` (the Q-linear
+        map of B^-1, B having the basis vectors as columns)."""
+        if self._coordinate_map is None:
             field = self.basis[0].field
             d = self.basis[0].dim
+            s = field.degree
             mat = [[self.basis[j][i] for j in range(d)] for i in range(d)]
             unit_cols = [
                 [field.one() if i == j else field.zero() for i in range(d)]
                 for j in range(d)
             ]
-            self._inverse = field_solve(mat, unit_cols, field.zero(), field.one())
-        return self._inverse
+            inv_cols = field_solve(mat, unit_cols, field.zero(), field.one())
+            powers = [field.one()]
+            for _ in range(s - 1):
+                powers.append(powers[-1] * field.gen())
+            # row (k, m): the coordinates of theta^m placed in entry k
+            self._coordinate_map = embed(
+                QThetaVec([inv_cols[k][j] * powers[m] for j in range(d)])
+                for k in range(d)
+                for m in range(s)
+            )
+        return self._coordinate_map
 
-    def coordinates(self, v: QThetaVec):
-        """Q(theta) coordinates of v over the basis, exact."""
-        inv_cols = self._inverse_matrix()
-        d = v.dim
-        return [
-            sum((inv_cols[k][j] * v.entries[k] for k in range(1, d)),
-                inv_cols[0][j] * v.entries[0])
-            for j in range(d)
-        ]
+    def integral_rows(self, coords, den: int):
+        """Boolean mask: which rows of coords / den (integer form, see
+        `intlattice`) have all coordinates over the basis in Z[theta]."""
+        if len(coords) == 0:
+            return np.ones(0, dtype=bool)
+        T, L = self._integer_map()
+        prod = matmul(coords, T)
+        modulus = L * den
+        if prod.dtype != object and not fits(modulus):
+            prod = prod.astype(object)
+        return (prod % modulus == 0).all(axis=1)
 
     def has_integer_coordinates(self, v: QThetaVec) -> bool:
-        return all(c.has_integer_coords() for c in self.coordinates(v))
+        return bool(self.integral_rows(*embed([v]))[0])
 
     def serialize(self):
         return {
@@ -495,12 +502,13 @@ def kenyon_basis(
     kb = KenyonBasis(basis=basis, seeds=seeds, denominator=den, verified_count=0)
     if sample is None or sample.depth != depth:
         sample = enumerate_returns(system, depth)
-    for v in sample.vectors:
-        if not kb.has_integer_coordinates(v):
-            raise TilingError(
-                f"return vector {v.serialize()} has non-integer coordinates; "
-                "unstabilized sample or defect"
-            )
+    ok = kb.integral_rows(sample.coords, sample.den)
+    if not ok.all():
+        v = sample.vectors[int(np.argmin(ok))]
+        raise TilingError(
+            f"return vector {v.serialize()} has non-integer coordinates; "
+            "unstabilized sample or defect"
+        )
     kb.verified_count = len(sample.vectors)
     return kb
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BudgetError, TilingError, ValidationError
 from .field import NumberField, QThetaElem, QThetaVec
 from .geometry import (
@@ -25,7 +27,9 @@ from .geometry import (
     points_diameter_sq,
     polygon_contains,
 )
+from .intlattice import LatticeForm, embed, lattice_form, substitute, vectors
 from .lattice import int_matrix_power
+from .ordering import sorted_by_value, value_order
 
 DEFAULT_GROW_BUDGET = 400_000
 
@@ -84,8 +88,6 @@ class PlacedTile:
 
 def sort_tiles(tiles):
     """Canonical order: (prototile id, exact coordinate comparison)."""
-    from .ordering import sorted_by_value
-
     return sorted_by_value(tiles, lambda t: t.offset, pre_key=lambda t: t.proto)
 
 
@@ -167,6 +169,7 @@ class SubstitutionSystem:
         # lazily filled caches: each is a value computed from the immutable
         # rules, so a racing recomputation stores an equal result
         self._matrix = None
+        self._lattice = None  # lattice_form, an immutable LatticeForm
         self._pisot_cert = None  # spectra.system_pisot
         self._return_module = None  # spectra.system_module
 
@@ -205,8 +208,23 @@ class SubstitutionSystem:
 
     # -- growth ------------------------------------------------------------
 
+    def lattice_form(self) -> LatticeForm:
+        """The rules in integer form (see `intlattice`), built once."""
+        form = self._lattice
+        if form is None:
+            form = self._lattice = lattice_form(
+                self.field, self.dimension, self.order, self.rules
+            )
+        return form
+
     def grow(self, tid: str, n: int, budget: int = DEFAULT_GROW_BUDGET) -> Patch:
         """The n-fold substitution of prototile `tid`, exact coordinates."""
+        return self._patch_of(*self.grow_lattice(tid, n, budget))
+
+    def grow_lattice(self, tid: str, n: int, budget: int = DEFAULT_GROW_BUDGET):
+        """(types, coords, den) of the n-fold substitution of `tid`,
+        unsorted: tile i has prototile self.order[types[i]] at offset
+        coords[i] / den."""
         if tid not in self.prototiles:
             raise TilingError(f"unknown prototile {tid!r}")
         if n < 0:
@@ -217,26 +235,30 @@ class SubstitutionSystem:
         total = sum(power[i][j] for i in range(len(self.order)))
         if total > budget:
             raise BudgetError(f"grow would produce {total} tiles (budget {budget})")
-        tiles = [PlacedTile(tid, self.zero_vec())]
+        form = self.lattice_form()
+        types = np.array([j], dtype=np.int64)
+        coords = np.zeros((1, form.theta.shape[0]), dtype=np.int64)
+        den = form.den
         for _ in range(n):
-            tiles = self._substitute(tiles)
-        assert len(tiles) == total
-        return Patch(tiles)
+            types, coords, den = substitute(form, types, coords, den)
+        assert len(types) == total
+        return types, coords, den
 
     def substitute_patch(self, patch: Patch) -> Patch:
         """One substitution step applied to an arbitrary patch."""
-        return Patch(self._substitute(patch))
+        index = {tid: i for i, tid in enumerate(self.order)}
+        types = np.array([index[t.proto] for t in patch], dtype=np.int64)
+        coords, den = embed([t.offset for t in patch])
+        if not len(types):
+            coords = np.zeros((0, self.lattice_form().theta.shape[0]), dtype=np.int64)
+        return self._patch_of(*substitute(self.lattice_form(), types, coords, den))
 
-    def _substitute(self, tiles):
-        """Children of every tile, unsorted; each parent offset is scaled
-        once, not once per child."""
-        g = self.theta_elem()
-        new = []
-        for t in tiles:
-            base = t.offset.scale(g)
-            for ch in self.rules[t.proto]:
-                new.append(PlacedTile(ch.proto, base + ch.offset))
-        return new
+    def _patch_of(self, types, coords, den) -> Patch:
+        """The Patch, in canonical order, of an integer-form tile set."""
+        perm = value_order(self.field, coords, den, groups=self.lattice_form().rank[types])
+        offsets = vectors(self.field, coords[perm], den)
+        names = [self.order[k] for k in types[perm].tolist()]
+        return Patch(map(PlacedTile, names, offsets), presorted=True)
 
     # -- supports -----------------------------------------------------------
 

@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -67,3 +69,37 @@ def test_comparisons():
     assert theta.cmp_rational(1) == 1
     assert theta.cmp_rational(2) == -1
     assert theta.cmp_rational(Fraction(1618, 1000)) == 1
+
+
+def test_refine_concurrent_never_widens():
+    """Four barrier-released threads refining one number: each call
+    returns the stored interval, which must never widen, and the interval
+    left at the end is at least as narrow as any one a call returned."""
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            theta = make_algebraic(IntPoly((-1, -1, 1)), Fraction(8, 5))
+            barrier = threading.Barrier(4)
+            widths = [[] for _ in range(4)]
+
+            def work(i):
+                barrier.wait(timeout=30)
+                for _ in range(12):
+                    lo, hi = theta.refine(1 + i)
+                    widths[i].append(hi - lo)
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            for seen in widths:
+                assert len(seen) == 12
+                assert all(b <= a for a, b in zip(seen, seen[1:]))
+            assert theta.width() <= min(w for seen in widths for w in seen)
+            lo, hi = theta.interval
+            assert (lo * lo - lo - 1) * (hi * hi - hi - 1) < 0  # still brackets the root
+    finally:
+        sys.setswitchinterval(old_interval)
