@@ -11,7 +11,14 @@ import threading
 from fractions import Fraction
 
 from .errors import PrecisionError, TilingError
-from .polys import IntPoly, is_squarefree, rational_roots, sturm_count
+from .polys import (
+    IRREDUCIBILITY_PRIMES,
+    IntPoly,
+    certify_irreducible,
+    is_squarefree,
+    rational_roots,
+    sturm_count,
+)
 
 
 class AlgebraicReal:
@@ -22,16 +29,15 @@ class AlgebraicReal:
     never changes the selected root.
     """
 
-    __slots__ = ("minpoly", "_interval", "_lock", "warnings")
+    __slots__ = ("minpoly", "_interval", "_lock")
 
-    def __init__(self, minpoly: IntPoly, lo: Fraction, hi: Fraction, warnings=()):
+    def __init__(self, minpoly: IntPoly, lo: Fraction, hi: Fraction):
         self.minpoly = minpoly
         lo, hi = Fraction(lo), Fraction(hi)
         # one (lo, hi) tuple, replaced whole and only by a narrower one, so
         # concurrent readers see a consistent pair that never widens
         self._interval = (lo, hi)
         self._lock = threading.Lock()
-        self.warnings = tuple(warnings)
         if not (lo < hi):
             raise TilingError("empty isolating interval")
         if minpoly(lo) == 0 or minpoly(hi) == 0:
@@ -121,11 +127,10 @@ class AlgebraicReal:
 def make_algebraic(minpoly, approx) -> AlgebraicReal:
     """Select the real root of `minpoly` nearest to `approx`.
 
-    `minpoly` must be monic with integer coefficients and square-free.
-    Irreducibility is verified exactly for degree <= 3 (a reducible cubic
-    or quadratic over Q has a rational root); for higher degrees only a
-    rational-root test runs and a warning is attached, since the bundled
-    systems never need more.
+    `minpoly` must be monic with integer coefficients, square-free and
+    irreducible.  Irreducibility is decided exactly for degree <= 3 (a
+    reducible cubic or quadratic over Q has a rational root); a higher
+    degree must be certified by `certify_irreducible`, or it is rejected.
     """
     if not isinstance(minpoly, IntPoly):
         minpoly = IntPoly(minpoly)
@@ -137,16 +142,16 @@ def make_algebraic(minpoly, approx) -> AlgebraicReal:
         raise TilingError("polynomial is not square-free (shares a factor with its derivative)")
 
     approx = Fraction(approx) if not isinstance(approx, Fraction) else approx
-    warnings = []
     rroots = rational_roots(minpoly)
     if minpoly.degree > 1 and rroots:
         raise TilingError(
             f"polynomial is reducible: rational root {rroots[0]} detected"
         )
-    if minpoly.degree > 3:
-        warnings.append(
-            "degree > 3: irreducibility not fully verified (square-free and "
-            "rational-root checks only)"
+    if minpoly.degree > 3 and not certify_irreducible(minpoly):
+        raise TilingError(
+            f"irreducibility could not be certified for {minpoly}: no "
+            f"factorization pattern modulo {IRREDUCIBILITY_PRIMES} primes rules out "
+            "a rational factor"
         )
 
     lo, hi = approx - Fraction(1, 4), approx + Fraction(1, 4)
@@ -175,7 +180,7 @@ def make_algebraic(minpoly, approx) -> AlgebraicReal:
             hi = mid
         else:
             lo = mid
-    return AlgebraicReal(minpoly, lo, hi, warnings)
+    return AlgebraicReal(minpoly, lo, hi)
 
 
 # ---------------------------------------------------------------------------

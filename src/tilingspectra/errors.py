@@ -12,8 +12,8 @@ class FieldMismatchError(TilingError):
 class PrecisionError(TilingError):
     """An interval refinement loop failed to separate a sign.
 
-    This should only happen when the minimal polynomial is secretly
-    reducible (irreducibility is verified exactly only up to degree 3).
+    Minimal polynomials are certified irreducible when theta is made, so
+    this signals a refinement budget too small for the element.
     """
 
 

@@ -54,17 +54,21 @@ def widen(arr: np.ndarray) -> np.ndarray:
     return arr if arr.dtype == object else arr.astype(object)
 
 
-def embed(vecs):
-    """(coords, den) of QThetaVecs: den is the lcm of all coordinate
-    denominators and coords[i] holds den times vector i's power-basis
-    coordinates, entry after entry."""
+def embed_rows(vecs):
+    """(rows, den) of QThetaVecs in plain ints: den is the lcm of all
+    coordinate denominators and rows[i] is the tuple of den times vector
+    i's power-basis coordinates, entry after entry."""
     rows = [[c for e in v.entries for c in e.coeffs] for v in vecs]
-    den = 1
-    for row in rows:
-        for c in row:
-            den = lcm(den, c.denominator)
+    den = lcm(*(c.denominator for row in rows for c in row))
+    return [tuple(c.numerator * (den // c.denominator) for c in row) for row in rows], den
+
+
+def embed(vecs):
+    """(coords, den) of QThetaVecs: the rows of `embed_rows` as an
+    integer array."""
+    rows, den = embed_rows(vecs)
     width = len(rows[0]) if rows else 0
-    return int_array(([c.numerator * (den // c.denominator) for c in row] for row in rows), width), den
+    return int_array(rows, width), den
 
 
 def unique_rows(arr: np.ndarray) -> np.ndarray:

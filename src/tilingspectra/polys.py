@@ -306,3 +306,113 @@ def _divisors(n: int):
 def reciprocal(p: IntPoly) -> IntPoly:
     """x^deg * p(1/x): the coefficient sequence reversed."""
     return IntPoly(tuple(reversed(p.coeffs)))
+
+
+# ---------------------------------------------------------------------------
+# irreducibility certificate: distinct-degree factorization modulo primes
+
+IRREDUCIBILITY_PRIMES = 50
+
+
+def certify_irreducible(p: IntPoly) -> bool:
+    """True when the monic square-free p is proven irreducible over Q.
+
+    A factor of p over Q of degree k reduces modulo a prime to a product
+    of irreducible factors there, so k is a sum of some of their degrees.
+    Modulo each prime that keeps p square-free, distinct-degree
+    factorization gives those degrees, and the degrees a rational factor
+    can have lie in the intersection of their subset sums over the primes
+    tried (Musser 1978).  p is irreducible once that intersection is
+    {0, deg p}.  False means no certificate within IRREDUCIBILITY_PRIMES
+    such primes:
+    p may be reducible, or irreducible with a Galois group whose cycle
+    types never separate the degrees (x^4 + 1 splits modulo every prime).
+    """
+    n = p.degree
+    possible = set(range(n + 1))
+    q, used = 1, 0
+    while used < IRREDUCIBILITY_PRIMES:
+        q = _next_prime(q)
+        f = [c % q for c in p.coeffs]
+        df = _trim_mod([i * c % q for i, c in enumerate(f)][1:])
+        if len(_gcd_mod(f, df, q)) > 1:
+            continue  # q divides the discriminant
+        used += 1
+        sums = {0}
+        for d in _ddf_degrees(f, q):
+            sums |= {x + d for x in sums}
+        possible &= sums
+        if possible == {0, n}:
+            return True
+    return False
+
+
+def _next_prime(q: int) -> int:
+    q += 1
+    while any(q % k == 0 for k in range(2, int(q**0.5) + 1)):
+        q += 1
+    return q
+
+
+def _trim_mod(f):
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _divmod_mod(f, g, q):
+    """(quotient, remainder) of f by g over GF(q); g nonzero."""
+    f = list(f)
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, q)
+    quot = [0] * max(len(f) - dg, 0)
+    for i in range(len(f) - 1, dg - 1, -1):
+        c = f[i] * inv % q
+        if c:
+            quot[i - dg] = c
+            for j, gj in enumerate(g):
+                f[i - dg + j] = (f[i - dg + j] - c * gj) % q
+    return _trim_mod(quot), _trim_mod(f[:dg])
+
+
+def _gcd_mod(f, g, q):
+    while g:
+        f, g = g, _divmod_mod(f, g, q)[1]
+    return f
+
+
+def _mulmod(a, b, m, q):
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % q
+    return _divmod_mod(_trim_mod(prod), m, q)[1]
+
+
+def _ddf_degrees(f, q):
+    """Degrees, with multiplicity, of the irreducible factors of the
+    monic square-free f over GF(q)."""
+    degrees = []
+    h = [0, 1]  # x^(q^d) mod f, starting from d = 0
+    d = 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        power, base, e = [1], h, q
+        while e:
+            if e & 1:
+                power = _mulmod(power, base, f, q)
+            base = _mulmod(base, base, f, q)
+            e >>= 1
+        h = power
+        diff = h + [0] * (2 - len(h))  # h - x
+        diff[1] = (diff[1] - 1) % q
+        g = _gcd_mod(f, _trim_mod(diff), q)
+        if len(g) > 1:
+            # g is the product of the factors of degree d
+            degrees += [d] * ((len(g) - 1) // d)
+            f = _divmod_mod(f, g, q)[0]
+            h = _divmod_mod(h, f, q)[1]
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return degrees
+

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 import numpy as np
 
@@ -20,6 +22,8 @@ from .field import NumberField, QThetaElem, QThetaVec
 from .geometry import (
     OUTSIDE,
     Polygon,
+    coeff_sign,
+    contains_points,
     dist_sq_point_polygon,
     dist_sq_point_segment,
     interiors_overlap,
@@ -27,7 +31,17 @@ from .geometry import (
     points_diameter_sq,
     polygon_contains,
 )
-from .intlattice import LatticeForm, embed, lattice_form, substitute, vectors
+from .intlattice import (
+    LatticeForm,
+    embed,
+    embed_rows,
+    int_array,
+    lattice_form,
+    matmul,
+    substitute,
+    theta_matrix,
+    vectors,
+)
 from .lattice import int_matrix_power
 from .ordering import sorted_by_value, value_order
 
@@ -457,48 +471,88 @@ def _validate_periods(system, rep, depth: int = 3):
         if g.is_zero():
             rep.add("periods", False, "zero vector declared as a period")
             return
-    matched_total = 0
+    field = system.field
+    width = system.dimension * field.degree
+    theta = theta_matrix(field, system.dimension)
+    form = system.lattice_form()
+    grown = {}  # tid -> grow_lattice(tid, depth), grown when first checked
+    supports = [_support_ints(system, tid) for tid in system.order]
+    regions = []  # theta^depth * support, over the support's denominator
+    for rows, _ in supports:
+        region = int_array(rows, width)
+        for _ in range(depth):
+            region = matmul(region, theta)
+        regions.append(region.tolist())
     for g in system.declared_periods:
         ok = True
         detail = ""
         matched = 0
-        for tid in system.order:
-            patch = system.grow(tid, depth)
-            present = {t.key() for t in patch}
-            shifted = patch.translated(g)
-            for t in shifted:
-                if not _tile_inside_region(system, t, tid, depth):
+        # every point below is over the one denominator `big`
+        (shift,), gden = embed_rows([g])
+        big = lcm(gden, form.den, *(d for _, d in supports))
+        (shift,) = _times([shift], big // gden)
+        protos = [_times(rows, big // d) for rows, d in supports]
+        for tid, region, (_, rden) in zip(system.order, regions, supports):
+            if tid not in grown:
+                grown[tid] = system.grow_lattice(tid, depth)
+            types, coords, den = grown[tid]
+            outer = _times(region, big // rden)
+            offsets = _times(coords.tolist(), big // den)
+            present = set(zip(types.tolist(), offsets))
+            bad = []  # (index, translated offset) of disagreeing tiles
+            for i, (k, offset) in enumerate(zip(types.tolist(), offsets)):
+                at = tuple(map(add, offset, shift))
+                tile = [tuple(map(add, v, at)) for v in protos[k]]
+                if not _inside(system, outer, tile):
                     continue
-                if t.key() in present:
+                if (k, at) in present:
                     matched += 1
                 else:
-                    ok = False
-                    detail = (
-                        f"period {g.serialize()}: translated tile "
-                        f"{t.proto}@{t.offset.serialize()} disagrees inside omega^{depth}({tid})"
-                    )
-                    break
-            if not ok:
+                    bad.append((i, at))
+            if bad:
+                # name the first disagreeing tile in canonical order
+                picked = [i for i, _ in bad]
+                first = value_order(
+                    field,
+                    int_array([at for _, at in bad], width),
+                    big,
+                    groups=form.rank[types[picked]],
+                )[0]
+                i, at = bad[first]
+                (offset,) = vectors(field, int_array([at], width), big)
+                ok = False
+                detail = (
+                    f"period {g.serialize()}: translated tile "
+                    f"{system.order[types[i]]}@{offset.serialize()} disagrees inside omega^{depth}({tid})"
+                )
                 break
         if ok and matched == 0:
             ok = False
             detail = f"period {g.serialize()}: no overlap at depth {depth}; cannot verify"
-        matched_total += matched
         rep.add(f"period[{g.serialize()}]", ok, detail or f"{matched} tiles matched")
 
 
-def _tile_inside_region(system, t: PlacedTile, tid: str, depth: int) -> bool:
-    """Is the tile support inside theta^depth * (support of tid)?"""
-    theta = system.theta_elem()
-    scale = system.field.one()
-    for _ in range(depth):
-        scale = scale * theta
+def _support_ints(system, tid):
+    """(rows, den): the support of `tid` as kernel points, the polygon's
+    vertices or the interval's two endpoints."""
+    sup = system.prototiles[tid].support
     if system.dimension == 1:
-        a, b = system.tile_interval(t)
-        end = scale * system.prototiles[tid].support.length
-        return a.sign() >= 0 and (b - end).sign() <= 0
-    region = system.prototiles[tid].support.scaled(scale)
-    return polygon_contains(region, system.tile_polygon(t))
+        return embed_rows([system.zero_vec(), system.field.vec([sup.length])])
+    return sup.ints()
+
+
+def _times(rows, factor):
+    return [tuple(c * factor for c in row) for row in rows]
+
+
+def _inside(system, region, tile) -> bool:
+    """Is the tile support inside the region (both as kernel points)?"""
+    if system.dimension == 1:
+        (a, b), (_, end) = tile, region
+        return coeff_sign(system.field, a) >= 0 and coeff_sign(
+            system.field, [x - y for x, y in zip(end, b)]
+        ) >= 0
+    return contains_points(system.field, region, tile)
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,7 @@ CLI_COMMANDS = [
     (["validate", "fibonacci"], "c757e750769848bee8df5a3131c7c9958dcf130bf44abf363c34be872c890cc7"),
     (["validate", "tm"], "466d85ce2efc7a0ac2ccd0dd0ecaf9e806d12e6167b63e3e4a119896a223bd86"),
     (["validate", "chair"], "a49dac2553978c9679c17c57eeb8de80a2eadc2541c94aa5700263a8b5b4602d"),
+    (["validate", "grid2"], "5f3ef004242251755a0ca64a5aecc0fd3f8ecdbb83b4e71acd3255c336c8c60a"),
     (["matrix", "chair"], "4a6fdda3be686169b4fb90da6486301c34eee5a556d9ada0be982682224b0d8b"),
     (["primitive", "np26"], "4a42834d5ddaf7ccd8ea67264621536d8c88ce1ad5a74962cf935ba45e84dd9a"),
     (["pisot", "fibonacci"], None),

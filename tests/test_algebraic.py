@@ -49,6 +49,15 @@ def test_rejects_non_squarefree_and_reducible():
         make_algebraic(IntPoly([-1, -1, 2]), 1)  # not monic
 
 
+def test_rejects_uncertified_quartic():
+    # (x^2 - x - 1)(x^2 - 2) has no rational root; its root near 1.618 is
+    # the golden ratio, so it is not that number's minimal polynomial
+    with pytest.raises(TilingError, match="irreducibility could not be certified"):
+        make_algebraic(IntPoly([2, 2, -3, -1, 1]), Fraction(1618, 1000))
+    # x^4 - x - 1 is irreducible and certified
+    assert make_algebraic(IntPoly([-1, -1, 0, 0, 1]), Fraction(122, 100)).degree == 4
+
+
 def test_rejects_ambiguous_or_missing_root():
     with pytest.raises(TilingError):
         make_algebraic(IntPoly([-1, -1, 1]), 5)  # no root near 5

@@ -1,0 +1,102 @@
+"""Bad system files end in exit code 1 with a message, never a traceback."""
+
+import copy
+import io
+import json
+import random
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from tilingspectra.cli import cli_dispatch
+from tilingspectra.corpus import corpus_path
+
+# (x^2 - x - 1)(x^2 - 2), ascending: its root near 1.618 is the golden ratio
+REDUCIBLE_QUARTIC = [2, 2, -3, -1, 1]
+
+
+def run_validate(path):
+    out, err = io.StringIO(), io.StringIO()
+    code = cli_dispatch(["validate", str(path)], stdout=out, stderr=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+def load_corpus(name):
+    with open(corpus_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_reducible_quartic_file_rejected(tmp_path):
+    data = load_corpus("fibonacci")
+    data["theta"] = {"minpoly": REDUCIBLE_QUARTIC, "approx": "1.618"}
+    # every coordinate gets the four power-basis entries the quartic needs
+    for proto in data["prototiles"]:
+        proto["support"]["length"] += ["0", "0"]
+    for children in data["rules"].values():
+        for child in children:
+            child["offset"][0] += ["0", "0"]
+    path = tmp_path / "quartic.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_validate(path)
+    assert code == 1
+    assert "irreducibility could not be certified" in json.loads(out)["error"]
+    assert "Traceback" not in err
+
+
+# values a mutation may put anywhere in a system file
+REPLACEMENTS = [
+    "0", "1", "-1", "1/2", "-3/4", "2/4", "1/0", "7/3", "x", "", "1.5",
+    0, 1, -2, 3, 2.5, True, None, [], {}, ["0"], [["0"], ["1"]],
+]
+
+
+def nodes(obj, out):
+    """Every (container, key) pair below obj."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        out.append((obj, key))
+        nodes(value, out)
+    return out
+
+
+def mutate(data, rng):
+    container, key = rng.choice(nodes(data, []))
+    kind = rng.choice(["replace", "replace", "copy", "remove", "extra", "reverse"])
+    if kind == "replace":
+        container[key] = copy.deepcopy(rng.choice(REPLACEMENTS))
+    elif kind == "copy":  # a value from elsewhere in the file
+        other, okey = rng.choice(nodes(data, []))
+        container[key] = copy.deepcopy(other[okey])
+    elif kind == "remove":
+        del container[key]
+    elif kind == "extra":
+        if isinstance(container, dict):
+            container["extra"] = copy.deepcopy(container[key])
+        else:
+            container.append(copy.deepcopy(container[key]))
+    elif isinstance(container[key], list):
+        container[key].reverse()
+
+
+SYSTEMS = {name: load_corpus(name) for name in ("fibonacci", "grid2", "chair")}
+
+
+@settings(
+    max_examples=150,
+    deadline=2000,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(st.sampled_from(sorted(SYSTEMS)), st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_mutated_system_files_never_crash(tmp_path, name, seed, count):
+    rng = random.Random(seed)
+    data = copy.deepcopy(SYSTEMS[name])
+    for _ in range(count):
+        if not nodes(data, []):
+            break
+        mutate(data, rng)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_validate(path)
+    assert code in (0, 1), (code, err)
+    assert "Traceback" not in err
+    json.loads(out)

@@ -77,6 +77,82 @@ def test_false_period_detected(grid2):
     assert any("period" in c.name for c in report.failures())
 
 
+# period checks whose reports were recorded before validation moved to
+# integer coordinates: the first disagreeing tile in canonical order and
+# the matched-tile counts must stay the same
+PERIOD_REPORTS = [
+    ("grid2", [[["1/2"], ["0"]]], [(False, "period [['1/2'], ['0']]: translated tile sq@[['1/2'], ['0']] disagrees inside omega^3(sq)")]),
+    ("grid2", [[["1"], ["1"]], [["3"], ["0"]]], [(True, "49 tiles matched"), (True, "40 tiles matched")]),
+    ("chair", [[["1"], ["0"]]], [(False, "period [['1'], ['0']]: translated tile NE@[['1'], ['0']] disagrees inside omega^3(NE)")]),
+    ("fibonacci", [[["-1/3", "0"]]], [(False, "period [['-1/3', '0']]: translated tile a@[['2/3', '1']] disagrees inside omega^3(a)")]),
+    ("fibprod", [[["0", "1"], ["0", "0"]]], [(False, "period [['0', '1'], ['0', '0']]: translated tile aa@[['0', '1'], ['0', '0']] disagrees inside omega^3(aa)")]),
+]
+
+
+@pytest.mark.parametrize("name, periods, expected", PERIOD_REPORTS)
+def test_period_reports_frozen(systems, name, periods, expected):
+    data = fibonacci_product() if name == "fibprod" else serialize_system(systems[name])
+    data["periods"] = periods
+    checks = [c for c in validate(system_from_dict(data)).checks if c.name.startswith("period")]
+    assert [(c.ok, c.detail) for c in checks] == expected
+
+
+def fibonacci_product():
+    """The product of two Fibonacci substitutions: prototiles ij are
+    [0, l_i] x [0, l_j] with l_a = theta (golden ratio), l_b = 1, and the
+    rule of ij places every pair of children of i and j."""
+    length = {"a": ["0", "1"], "b": ["1", "0"]}
+    rule = {"a": [("a", ["0", "0"]), ("b", ["0", "1"])], "b": [("a", ["0", "0"])]}
+    zero = ["0", "0"]
+    prototiles, rules = [], {}
+    for i in "ab":
+        for j in "ab":
+            x, y = length[i], length[j]
+            vertices = [[zero, zero], [x, zero], [x, y], [zero, y]]
+            prototiles.append({"id": i + j, "support": {"type": "polygon", "vertices": vertices}})
+            rules[i + j] = [
+                {"tile": k + m, "offset": [list(xk), list(ym)]}
+                for k, xk in rule[i]
+                for m, ym in rule[j]
+            ]
+    return {
+        "name": "fibprod",
+        "dimension": 2,
+        "theta": {"minpoly": [-1, -1, 1], "approx": "1.618"},
+        "prototiles": prototiles,
+        "rules": rules,
+    }
+
+
+# failing checks after moving one child by 1/2, recorded before
+# validation moved to integer coordinates
+FIBPROD_MOVED = [
+    ("aa", 1, 0, ("rule[aa].disjoint", "children ab@[['1/2', '0'], ['0', '1']] and bb@[['0', '1'], ['0', '1']] overlap")),
+    ("aa", 3, 1, ("rule[aa].containment", "child bb@[['0', '1'], ['1/2', '1']] outside inflated support")),
+    ("ab", 0, 0, ("rule[ab].disjoint", "children aa@[['1/2', '0'], ['0', '0']] and ba@[['0', '1'], ['0', '0']] overlap")),
+    ("ba", 1, 1, ("rule[ba].containment", "child ab@[['0', '0'], ['1/2', '1']] outside inflated support")),
+]
+
+
+def test_degree_two_planar_product_validates():
+    report = validate(system_from_dict(fibonacci_product()))
+    expected = [("expansion", "theta > 1")]
+    for tid in ("aa", "ab", "ba", "bb"):
+        expected += [
+            (f"rule[{tid}].measure", "children measure equals theta^d * vol"),
+            (f"rule[{tid}].disjoint", ""),
+            (f"rule[{tid}].containment", ""),
+        ]
+    expected.append(("fixed_point_seed", "self-reproducing seed tiles at the origin: ['aa']"))
+    assert [(c.name, c.ok, c.detail) for c in report.checks] == [(n, True, d) for n, d in expected]
+    for tid, k, entry, failure in FIBPROD_MOVED:
+        data = fibonacci_product()
+        coeffs = data["rules"][tid][k]["offset"][entry]
+        coeffs[0] = "1/2" if coeffs[0] == "0" else "3/2"
+        failures = validate(system_from_dict(data)).failures()
+        assert [(c.name, c.detail) for c in failures] == [failure]
+
+
 def test_validation_invariant_under_prototile_translation(grid2):
     # translate the square support by (5, 7) and fix the rule offsets:
     # children of the rule must shift by theta*v - v
