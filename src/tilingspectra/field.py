@@ -8,7 +8,9 @@ difference is certain, with a pure-rational fast path for degree 1.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
+from itertools import repeat
 
 from .algebraic import AlgebraicReal, eval_poly_interval, make_algebraic
 from .errors import FieldMismatchError, PrecisionError, TilingError
@@ -419,6 +421,18 @@ class QThetaVec:
 
     def __repr__(self):
         return f"QThetaVec({[e.serialize() for e in self.entries]})"
+
+
+def unchecked(cls, n: int, **slots):
+    """n instances of the __slots__ class `cls`, slot `name` of instance i
+    set to slots[name][i], without calling __init__: for values that the
+    caller has already built in valid form (QThetaVec entries as a
+    nonempty tuple of QThetaElems, say), so nothing is copied or checked
+    again per instance."""
+    objs = list(map(object.__new__, repeat(cls, n)))
+    for name, values in slots.items():
+        deque(map(getattr(cls, name).__set__, objs, values), maxlen=0)
+    return objs
 
 
 def parse_rational(text) -> Fraction:

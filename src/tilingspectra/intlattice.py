@@ -16,14 +16,17 @@ beyond it, so every result is exact either way.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from typing import NamedTuple
 
 import numpy as np
 
-from .field import NumberField, QThetaElem, QThetaVec
+from .field import NumberField, QThetaElem, QThetaVec, unchecked
+from .lattice import hnf
 
 INT64_LIMIT = 1 << 62
+_HNF_CHUNK = 16  # rows per HNF in `lattice_basis`
 
 
 def int_array(rows, width: int) -> np.ndarray:
@@ -71,15 +74,6 @@ def embed(vecs):
     return int_array(rows, width), den
 
 
-def unique_rows(arr: np.ndarray) -> np.ndarray:
-    """The distinct rows of an integer array, in lexicographic order."""
-    if len(arr) == 0:
-        return arr
-    lo = arr.min(axis=0).tolist()
-    strides = radix([h - l + 1 for l, h in zip(lo, arr.max(axis=0).tolist())])
-    return unpack(np.unique(pack(arr, lo, strides)), lo, strides)
-
-
 def radix(spans):
     """Mixed-radix strides (last column fastest) for columns whose values
     take spans[k] consecutive integers; their product ends the list."""
@@ -109,12 +103,59 @@ def unpack(keys: np.ndarray, lo, strides) -> np.ndarray:
 def reduce_rows(coords: np.ndarray, den: int):
     """(coords / g, den / g) with g the gcd of den and every entry: the
     smallest denominator that still keeps the rows integral."""
-    g = den
-    for v in np.unique(coords).tolist():
-        g = gcd(g, int(v))
-        if g == 1:
-            return coords, den
+    g = gcd(den, int(np.gcd.reduce(coords.ravel())))
+    if g == 1:
+        return coords, den
     return coords // g, den // g
+
+
+def unique_keys(keys: np.ndarray) -> np.ndarray:
+    """np.unique(keys) of a 1-d array, by one sort and a comparison of
+    neighbours: numpy's hash-based unique is several times slower on
+    integer keys."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
+
+
+def lattice_basis(rows: np.ndarray):
+    """hnf(rows.tolist()), the canonical HNF rows of the lattice the
+    integer rows generate, without running the HNF over every row: the
+    HNF of the first _HNF_CHUNK rows, then one vectorized membership test
+    of all other rows, then the HNF of that basis plus the first
+    _HNF_CHUNK rows that failed, and so on until every row passes.  The
+    lattice spanned by the basis and the rows still to test is always
+    the lattice of all rows (a row that passes already lies in it), and
+    a lattice has one HNF, so the result is that of the one-shot HNF."""
+    chunk = _HNF_CHUNK
+    basis = hnf(rows[:chunk].tolist())
+    rest = rows[chunk:]
+    while len(rest):
+        rest = rest[~_in_span(basis, rest)]
+        basis = hnf(basis + rest[:chunk].tolist()) if len(rest) else basis
+        rest = rest[chunk:]
+    return basis
+
+
+def _in_span(basis, rows: np.ndarray) -> np.ndarray:
+    """Boolean mask: which integer rows lie in the Z-span of the HNF rows
+    `basis`.  Each row is reduced by every basis row in turn, by the
+    multiple that brings its entry at that row's pivot into [0, pivot).
+    Later basis rows are zero at earlier pivots, so a member (whose
+    coefficients these multiples are) reduces to zero, and a row that
+    reduces to zero is an integer combination of the basis."""
+    res = rows
+    if basis:
+        big = abs_max(int_array(basis, len(basis[0])))
+        # each step subtracts q * b with |q| <= |res|, so |res| grows at
+        # most by a factor 1 + big per basis row
+        if res.dtype == object or not fits(abs_max(res) * (1 + big) ** len(basis)):
+            res = widen(res)
+        for b in basis:
+            col = next(k for k, v in enumerate(b) if v)
+            res = res - (res[:, col] // b[col])[:, None] * np.array(b, dtype=res.dtype)
+    return ~(res != 0).any(axis=1)
 
 
 def theta_matrix(field: NumberField, d: int) -> np.ndarray:
@@ -140,28 +181,30 @@ def matmul(coords: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 def vectors(field: NumberField, coords: np.ndarray, den: int):
-    """QThetaVecs of the rows of coords / den.  Equal coordinates share
-    one Fraction and equal entries one QThetaElem (both immutable)."""
+    """QThetaVecs of the rows of coords / den.  Each distinct coordinate
+    becomes one Fraction and each distinct entry one QThetaElem, shared
+    by every vector that holds it (both are immutable)."""
+    n, width = coords.shape
+    if n == 0:
+        return []
     s = field.degree
-    fractions = _Cache(lambda c: Fraction(c) if den == 1 else Fraction(c, den))
-    rows = coords.tolist()
-    if s == 1:  # an entry is one integer
-        get = _Cache(lambda c: QThetaElem(field, (fractions[c],))).__getitem__
-        return [QThetaVec(map(get, row)) for row in rows]
-    get = _Cache(lambda key: QThetaElem(field, tuple(map(fractions.__getitem__, key)))).__getitem__
-    return [QThetaVec(map(get, zip(*[iter(row)] * s))) for row in rows]
-
-
-class _Cache(dict):
-    """Dict that fills a missing key with make(key)."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
+    values, inverse = np.unique(coords, return_inverse=True)
+    fractions = np.empty(len(values), dtype=object)
+    fractions[:] = [Fraction(v) if den == 1 else Fraction(v, den) for v in values.tolist()]
+    if s == 1:  # an entry is one coefficient
+        digits, entry_of = np.arange(len(values)).reshape(-1, 1), inverse
+    else:  # an entry is s coefficient indices, packed into one key
+        strides = radix([len(values)] * s)
+        codes, entry_of = np.unique(
+            pack(inverse.reshape(-1, s), [0] * s, strides), return_inverse=True
+        )
+        digits = unpack(codes, [0] * s, strides).astype(np.intp)
+    coeffs = zip(*(fractions[digits[:, k]].tolist() for k in range(s)))
+    elems = np.empty(len(digits), dtype=object)
+    elems[:] = unchecked(QThetaElem, len(digits), field=repeat(field), coeffs=coeffs)
+    table = elems[entry_of.reshape(n, width // s)]
+    entries = zip(*(table[:, k].tolist() for k in range(width // s)))
+    return unchecked(QThetaVec, n, entries=entries)
 
 
 class LatticeForm(NamedTuple):
@@ -169,8 +212,12 @@ class LatticeForm(NamedTuple):
 
     den: int
     theta: np.ndarray  # (w, w): rows @ theta = theta * rows
-    child_types: tuple  # per parent type index: (k,) child type indices
-    child_offsets: tuple  # per parent type index: (k, w) offsets times den
+    theta_col_sum: int  # largest absolute column sum of theta
+    child_count: np.ndarray  # per parent type index: number of children
+    child_first: np.ndarray  # per parent type index: row of its first child
+    child_types: np.ndarray  # (k,) child type indices, all rules in type order
+    child_offsets: np.ndarray  # (k, w) child offsets times den, same rows
+    offset_max: int  # largest absolute entry of child_offsets
     rank: np.ndarray  # canonical rank (order of the ids) of each type index
 
 
@@ -178,58 +225,56 @@ def lattice_form(field: NumberField, d: int, order, rules) -> LatticeForm:
     """The LatticeForm of rules {tid: [PlacedTile]} over prototile ids
     `order`, with read-only arrays."""
     index = {tid: i for i, tid in enumerate(order)}
-    offsets = {tid: embed([ch.offset for ch in rules[tid]]) for tid in order}
-    den = 1
-    for _, oden in offsets.values():
-        den = lcm(den, oden)
-    child_types, child_offsets = [], []
-    for tid in order:
-        coords, oden = offsets[tid]
-        child_types.append(np.array([index[ch.proto] for ch in rules[tid]], dtype=np.int64))
-        child_offsets.append(scale(coords, den // oden))
+    width = d * field.degree
+    children = [ch for tid in order for ch in rules[tid]]
+    rows, den = embed_rows([ch.offset for ch in children])
+    offsets = int_array(rows, width)
+    count = np.array([len(rules[tid]) for tid in order], dtype=np.int64)
+    theta = theta_matrix(field, d)
     ranks = {tid: r for r, tid in enumerate(sorted(order))}
     form = LatticeForm(
         den=den,
-        theta=theta_matrix(field, d),
-        child_types=tuple(child_types),
-        child_offsets=tuple(child_offsets),
+        theta=theta,
+        theta_col_sum=max(1, abs_max(np.abs(theta).sum(axis=0))),
+        child_count=count,
+        child_first=np.cumsum(count) - count,
+        child_types=np.array([index[ch.proto] for ch in children], dtype=np.int64),
+        child_offsets=offsets,
+        offset_max=abs_max(offsets),
         rank=np.array([ranks[tid] for tid in order], dtype=np.int64),
     )
-    for arr in (form.theta, form.rank, *form.child_types, *form.child_offsets):
+    for arr in (form.theta, form.child_count, form.child_first, form.child_types,
+                form.child_offsets, form.rank):
         arr.setflags(write=False)
     return form
 
 
-def scale(coords: np.ndarray, factor: int) -> np.ndarray:
-    """Exact coords * factor, in int64 when the result cannot overflow."""
-    if factor == 1:
-        return coords
-    if coords.dtype != object and fits(abs_max(coords) * factor):
-        return coords * factor
-    return widen(coords) * factor
-
-
-def substitute(form: LatticeForm, types: np.ndarray, coords: np.ndarray, den: int):
+def substitute(form: LatticeForm, types: np.ndarray, coords: np.ndarray, den: int, bound=None):
     """One substitution step of the patch (types, coords / den): every
     parent offset is multiplied by theta once and its rule's child
-    offsets are added.  Returns the children, unsorted, over
-    lcm(den, form.den)."""
+    offsets are added.  `bound` is an upper bound on |coords| (measured
+    when omitted).  Returns (types, coords, den, bound) of the children,
+    unsorted, over lcm(den, form.den), each parent's children together in
+    rule order."""
     new_den = lcm(den, form.den)
-    base = matmul(scale(coords, new_den // den), form.theta)
-    factor = new_den // form.den
-    offsets = [scale(o, factor) for o in form.child_offsets]
-    bound = abs_max(base) + max((abs_max(o) for o in offsets), default=0)
-    if base.dtype == object or not fits(bound):
-        base = widen(base)
-        offsets = [widen(o) for o in offsets]
-    width = form.theta.shape[0]
-    out_types, out_coords = [], []
-    for p, (ctypes, coffs) in enumerate(zip(form.child_types, offsets)):
-        parents = base[types == p]
-        if len(parents) == 0 or len(ctypes) == 0:
-            continue
-        out_coords.append((parents[:, None, :] + coffs[None, :, :]).reshape(-1, width))
-        out_types.append(np.tile(ctypes, len(parents)))
-    if not out_coords:
-        return np.zeros(0, dtype=np.int64), np.zeros((0, width), dtype=base.dtype), new_den
-    return np.concatenate(out_types), np.concatenate(out_coords), new_den
+    up, factor = new_den // den, new_den // form.den
+    # |theta * x| <= theta_col_sum * |x| entrywise, so this bounds every
+    # intermediate and final entry of the step
+    grown = form.offset_max * factor
+    if bound is None or not fits(bound * up * form.theta_col_sum + grown):
+        bound = abs_max(coords)  # a carried bound may be loose: measure
+    bound = bound * up * form.theta_col_sum + grown
+    theta, offsets = form.theta, form.child_offsets
+    if coords.dtype == object or offsets.dtype == object or not fits(bound):
+        coords, theta, offsets = widen(coords), widen(theta), widen(offsets)
+    if up != 1:
+        coords = coords * up
+    if factor != 1:
+        offsets = offsets * factor
+    # one gather: parent i's children are rows first[i] .. first[i] +
+    # count[i] - 1 of the child tables, and take output rows start[i] ..
+    count = form.child_count[types]
+    start = np.cumsum(count) - count
+    child = np.repeat(form.child_first[types] - start, count) + np.arange(int(count.sum()))
+    base = np.repeat(coords @ theta, count, axis=0)
+    return form.child_types[child], base + offsets[child], new_den, bound

@@ -41,13 +41,13 @@ def sorted_by_value(items, vec_of, pre_key=None):
         rank = {k: r for r, k in enumerate(sorted(set(keys)))}
         groups = np.array([rank[k] for k in keys], dtype=np.int64)
     perm = value_order(vecs[0].field, coords, den, groups, vecs.__getitem__)
-    return [items[i] for i in perm]
+    return [items[i] for i in perm.tolist()]
 
 
 def value_order(field, coords, den, groups=None, exact_vec=None):
-    """Indices of the rows of coords / den in exact (group, value) order;
-    stable for equal vectors.  `exact_vec(i)` gives row i as a QThetaVec
-    for the exact fallback (built from the row by default)."""
+    """Index array of the rows of coords / den in exact (group, value)
+    order; stable for equal vectors.  `exact_vec(i)` gives row i as a
+    QThetaVec for the exact fallback (built from the row by default)."""
     n = len(coords)
     if groups is None:
         groups = np.zeros(n, dtype=np.int64)
@@ -56,16 +56,18 @@ def value_order(field, coords, den, groups=None, exact_vec=None):
         def exact_vec(i):
             return vectors(field, coords[i : i + 1], den)[0]
 
+    def sorted_by(key):
+        return np.array(sorted(range(n), key=lambda i: (int(groups[i]), key(i))), dtype=np.intp)
+
     def exact_order():
-        return sorted(range(n), key=lambda i: (int(groups[i]), exact_vec(i)))
+        return sorted_by(exact_vec)
 
     if n <= 1:
-        return list(range(n))
+        return np.arange(n)
     if field.degree == 1:
         if coords.dtype == object:
-            rows = coords.tolist()
-            return sorted(range(n), key=lambda i: (int(groups[i]), rows[i]))
-        return np.lexsort([*coords.T[::-1], groups]).tolist()
+            return sorted_by(coords.tolist().__getitem__)
+        return np.lexsort([*coords.T[::-1], groups])
 
     keys = _float_keys(field, coords)
     if keys is None:
@@ -86,7 +88,7 @@ def value_order(field, coords, den, groups=None, exact_vec=None):
         i, j, e = int(a[k]), int(b[k]), int(entry[k])
         if exact_vec(i)[e].cmp(exact_vec(j)[e]) > 0:
             return exact_order()
-    return perm.tolist()
+    return perm
 
 
 def _float_keys(field, coords):

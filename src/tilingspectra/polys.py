@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import math
 from math import gcd
 
 from .errors import TilingError
@@ -272,35 +273,37 @@ def is_squarefree(p: IntPoly) -> bool:
 
 
 def rational_roots(p: IntPoly):
-    """All rational roots, exact, via the rational-root test."""
-    a0, an = p.coeffs[0], p.leading
-    if a0 == 0:
-        # x divides p
-        reduced = IntPoly(p.coeffs[1:]) if p.degree >= 1 else None
-        roots = {Fraction(0)}
-        if reduced is not None:
-            roots |= set(rational_roots(reduced))
-        return sorted(roots)
-    roots = set()
-    for num in _divisors(abs(a0)):
-        for den in _divisors(abs(an)):
-            for sgn in (1, -1):
-                cand = Fraction(sgn * num, den)
-                if p(cand) == 0:
-                    roots.add(cand)
+    """All rational roots, exact and sorted.
+
+    A rational root u/v in lowest terms has v dividing the leading
+    coefficient a_n, so it is k/|a_n| for an integer k.  Sturm sequences of
+    the square-free part isolate the real roots: intervals (lo, hi] are
+    halved from the Cauchy bound down, and one that still holds a root
+    once narrower than 1/|a_n| holds at most one fraction k/|a_n|, which
+    is tested exactly.  The work is the bit size of the bound times |a_n|
+    per real root, not a search over divisors."""
+    if p.degree == 0:
+        return []
+    f = p.as_fractions()
+    sqfree, _ = rp_divmod(f, rp_gcd(f, rp_derivative(f)))
+    chain = sturm_chain(sqfree, rp_derivative(sqfree))
+    lead = abs(p.leading)
+    bound = 1 + max(abs(Fraction(c, lead)) for c in p.coeffs[:-1])  # |root| < bound
+    roots = []
+    stack = [(-bound, bound, *(chain_variations_at(chain, x) for x in (-bound, bound)))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo == v_hi:  # no root in (lo, hi]
+            continue
+        if (hi - lo) * lead < 1:
+            cand = Fraction(math.floor(hi * lead), lead)
+            if cand > lo and p(cand) == 0:
+                roots.append(cand)
+            continue
+        mid = (lo + hi) / 2
+        v_mid = chain_variations_at(chain, mid)
+        stack += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
     return sorted(roots)
-
-
-def _divisors(n: int):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def reciprocal(p: IntPoly) -> IntPoly:

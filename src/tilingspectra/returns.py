@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
@@ -27,15 +27,16 @@ from .intlattice import (
     embed,
     fits,
     int_array,
+    lattice_basis,
     matmul,
     pack,
     radix,
     reduce_rows,
-    unique_rows,
+    unique_keys,
     unpack,
     vectors,
 )
-from .lattice import field_rank, field_solve, hnf, _rational_row_solve, charpoly
+from .lattice import field_rank, field_solve, _rational_row_solve, charpoly
 from .ordering import value_order
 from .tiles import SubstitutionSystem
 
@@ -66,12 +67,31 @@ def enumerate_returns(
 ) -> ReturnSample:
     """All pairwise difference vectors between same-type tiles within
     omega^depth of each prototile; exact, deduplicated, both signs."""
+    rows, den = _return_rows(system, depth, budget)
+    rows = rows[value_order(system.field, rows, den)]
+    return ReturnSample(
+        depth=depth,
+        vectors=vectors(system.field, rows, den),
+        dimension=system.dimension,
+        coords=rows,
+        den=den,
+    )
+
+
+def _return_rows(system: SubstitutionSystem, depth: int, budget: int = DEFAULT_PAIR_BUDGET):
+    """(rows, den): the returns of `enumerate_returns` in integer form
+    (see `intlattice`), in lexicographic order of the rows.
+
+    Every difference of one depth is packed into one integer key (see
+    `intlattice.pack`) under one mixed radix, wide enough for the largest
+    extent of each column over all type groups, so the keys of every
+    group, from either difference path, are deduplicated together and
+    unpacked once."""
     if depth < 0:
         raise TilingError("depth must be nonnegative")
-    field = system.field
-    width = field.degree * system.dimension
+    width = system.field.degree * system.dimension
     den = system.lattice_form().den
-    found = []
+    groups = []
     pair_count = 0
     for tid in system.order:
         types, coords, _ = system.grow_lattice(tid, depth)
@@ -83,67 +103,56 @@ def enumerate_returns(
             pair_count += n * (n - 1)
             if pair_count > budget:
                 raise BudgetError(f"return enumeration exceeds pair budget {budget}")
-            found.append(_difference_rows(offsets))
-    # concatenating int64 with object rows gives Python ints throughout
-    rows = unique_rows(np.concatenate(found)) if found else np.zeros((0, width), dtype=np.int64)
-    rows = rows[(rows != 0).any(axis=1)]
-    rows = rows[value_order(field, rows, den)]
-    return ReturnSample(
-        depth=depth,
-        vectors=vectors(field, rows, den),
-        dimension=system.dimension,
-        coords=rows,
-        den=den,
-    )
+            groups.append(offsets)
+    if not groups:
+        return np.zeros((0, width), dtype=np.int64), den
+    extents = [(g.max(axis=0) - g.min(axis=0)).tolist() for g in groups]
+    ext = [max(col) for col in zip(*extents)]
+    lo = [-e for e in ext]
+    strides = radix([2 * e + 1 for e in ext])
+    # keys held back from deduplication stay below _DENSE_BLOCK_BYTES
+    # plus twice the distinct keys found so far
+    parts, held, merged = [], 0, 0
+    for arr in groups:
+        for keys in _difference_keys(arr, ext, strides):
+            parts.append(keys)
+            held += len(keys)
+            if len(parts) > 1 and 8 * held > _DENSE_BLOCK_BYTES + 16 * merged:
+                parts = [unique_keys(np.concatenate(parts))]
+                held = merged = len(parts[0])
+    keys = unique_keys(np.concatenate(parts))
+    keys = keys[keys != sum(e * k for e, k in zip(ext, strides[1:]))]  # the zero row
+    return unpack(keys, lo, strides), den
 
 
-def _group_difference_keys(offsets, seen):
-    """Add (denominator, *scaled coords) keys of the nonzero pairwise
-    differences of the QThetaVecs `offsets` to `seen`, each key in lowest
-    terms."""
-    coords, den = embed(offsets)
-    for row in _difference_rows(coords).tolist():
-        if any(row):
-            g = den
-            for v in row:
-                g = gcd(g, abs(v))
-            seen.add((den // g, *(v // g for v in row)))
-
-
-def _difference_rows(arr):
-    """Unique rows of arr[i] - arr[j] over all i, j (the zero row
-    included).  The set of differences is the support of the patch
-    autocorrelation, so a group whose bounding box has fewer cells than
-    it has pairs goes through an FFT instead of n^2 differences."""
+def _difference_keys(arr, ext, strides):
+    """Blocks of packed keys, under the radix `strides` and offsets
+    -ext, of the differences arr[i] - arr[j] over all i, j (the zero
+    difference included).  The set of differences is the support of the
+    patch autocorrelation, so a group whose bounding box has fewer cells
+    than it has pairs goes through an FFT instead of n^2 differences."""
+    lo = [-e for e in ext]
     if len(arr) >= 64 and arr.dtype != object and fits(2 * abs_max(arr)):
         rows = _autocorrelation_rows(arr)
         if rows is not None:
-            return rows
-    return _dense_differences(arr)
+            yield pack(rows, lo, strides)
+            return
+    yield from _dense_keys(arr, ext, strides)
 
 
-def _dense_differences(arr):
-    """Pairwise differences, deduplicated.  Each row packs into one
-    integer key (see `intlattice.pack`) whose radix leaves room for every
-    difference, so key(x - y) = key(x) - key(y) + const; the keys are
-    subtracted in row blocks of at most _DENSE_BLOCK_BYTES and
-    deduplicated block by block, so memory stays bounded by the cap and
-    the size of the difference set."""
+def _dense_keys(arr, ext, strides):
+    """Pairwise differences as packed keys.  Each row packs into one
+    integer key over its group's minimum, and the radix leaves room for
+    every difference, so key(x - y) = key(x) - key(y) + const; the keys
+    are subtracted in row blocks of at most _DENSE_BLOCK_BYTES, and a
+    group of more than one block deduplicates each block."""
     n = len(arr)
-    lo = arr.min(axis=0).tolist()
-    ext = [h - l for l, h in zip(lo, arr.max(axis=0).tolist())]
-    strides = radix([2 * e + 1 for e in ext])
-    keys = pack(arr, lo, strides)
+    keys = pack(arr, arr.min(axis=0).tolist(), strides)
     shifted = keys + sum(e * s for e, s in zip(ext, strides[1:]))
     step = max(1, _DENSE_BLOCK_BYTES // (8 * n))
-    parts, held, merged = [], 0, 0
     for i in range(0, n, step):
-        parts.append(np.unique(shifted[i : i + step, None] - keys[None, :]))
-        held += len(parts[-1])
-        if len(parts) > 1 and 8 * held > _DENSE_BLOCK_BYTES + 16 * merged:
-            parts = [np.unique(np.concatenate(parts))]
-            held = merged = len(parts[0])
-    return unpack(np.unique(np.concatenate(parts)), [-e for e in ext], strides)
+        block = (shifted[i : i + step, None] - keys[None, :]).ravel()
+        yield block if step >= n else unique_keys(block)
 
 
 def _autocorrelation_rows(arr):
@@ -234,15 +243,20 @@ def group_basis(sample: ReturnSample, field: NumberField = None) -> ReturnModule
     if not sample.vectors:
         raise TilingError("empty return sample has no group basis")
     field = field or sample.vectors[0].field
-    coords, den = reduce_rows(sample.coords, sample.den)
-    basis = hnf(coords.tolist())
+    return _module_of(field, sample.coords, sample.den, sample.depth, sample.dimension)
+
+
+def _module_of(field, coords, den, depth, dimension) -> ReturnModule:
+    """The ReturnModule of the group generated by the rows coords / den."""
+    coords, den = reduce_rows(coords, den)
+    basis = lattice_basis(coords)
     return ReturnModule(
         generators=vectors(field, int_array(basis, coords.shape[1]), den),
         denominator=den,
         hnf_rows=basis,
-        sample_depth=sample.depth,
+        sample_depth=depth,
         stabilized=False,
-        dimension=sample.dimension,
+        dimension=dimension,
     )
 
 
@@ -260,10 +274,10 @@ def stabilized_module(
     prev = None
     prev_key = None
     for depth in range(start_depth, max_depth + 1):
-        sample = enumerate_returns(system, depth)
-        if not sample.vectors:
+        rows, den = _return_rows(system, depth)
+        if not len(rows):
             continue
-        module = group_basis(sample, system.field)
+        module = _module_of(system.field, rows, den, depth, system.dimension)
         key = _lattice_key(module)
         if prev_key is not None and key == prev_key:
             module.stabilized = True
@@ -501,39 +515,42 @@ def kenyon_basis(
     basis = [e.scale(inv) for e in seeds]
     kb = KenyonBasis(basis=basis, seeds=seeds, denominator=den, verified_count=0)
     if sample is None or sample.depth != depth:
-        sample = enumerate_returns(system, depth)
-    ok = kb.integral_rows(sample.coords, sample.den)
+        rows, rows_den = _return_rows(system, depth)
+    else:
+        rows, rows_den = sample.coords, sample.den
+    ok = kb.integral_rows(rows, rows_den)
     if not ok.all():
-        v = sample.vectors[int(np.argmin(ok))]
+        bad = rows[~ok]
+        i = value_order(field, bad, rows_den)[0]  # the first in canonical order
+        (v,) = vectors(field, bad[i : i + 1], rows_den)
         raise TilingError(
             f"return vector {v.serialize()} has non-integer coordinates; "
             "unstabilized sample or defect"
         )
-    kb.verified_count = len(sample.vectors)
+    kb.verified_count = len(rows)
     return kb
 
 
 def _spanning_differences(system, cps: ControlPointSet, d: int):
-    """Greedy full-rank subset of control-point differences, canonical."""
+    """Greedy full-rank subset of control-point differences, canonical:
+    each patch is grown and its differences formed only while the rank
+    is still short."""
     field = system.field
     chosen = []
     for depth in (2, 3, 4):
-        candidates = []
         for tid in system.order:
-            patch = system.grow(tid, depth)
-            tiles = list(patch)
+            tiles = system.grow(tid, depth).tiles
             base = cps.of_tile(system, tiles[0])
             for t in tiles[1:]:
-                candidates.append(cps.of_tile(system, t) - base)
-        for cand in candidates:
-            if cand.is_zero():
-                continue
-            trial = chosen + [cand]
-            rows = [list(v.entries) for v in trial]
-            if field_rank(rows, field.zero(), field.one()) == len(trial):
-                chosen.append(cand)
-                if len(chosen) == d:
-                    return chosen
+                cand = cps.of_tile(system, t) - base
+                if cand.is_zero():
+                    continue
+                trial = chosen + [cand]
+                rows = [list(v.entries) for v in trial]
+                if field_rank(rows, field.zero(), field.one()) == len(trial):
+                    chosen.append(cand)
+                    if len(chosen) == d:
+                        return chosen
     raise TilingError(
         "control-point differences do not span; retry with deeper patches"
     )

@@ -18,7 +18,7 @@ from operator import add
 import numpy as np
 
 from .errors import BudgetError, TilingError, ValidationError
-from .field import NumberField, QThetaElem, QThetaVec
+from .field import NumberField, QThetaElem, QThetaVec, unchecked
 from .geometry import (
     OUTSIDE,
     Polygon,
@@ -252,9 +252,9 @@ class SubstitutionSystem:
         form = self.lattice_form()
         types = np.array([j], dtype=np.int64)
         coords = np.zeros((1, form.theta.shape[0]), dtype=np.int64)
-        den = form.den
+        den, bound = form.den, 0
         for _ in range(n):
-            types, coords, den = substitute(form, types, coords, den)
+            types, coords, den, bound = substitute(form, types, coords, den, bound)
         assert len(types) == total
         return types, coords, den
 
@@ -265,14 +265,15 @@ class SubstitutionSystem:
         coords, den = embed([t.offset for t in patch])
         if not len(types):
             coords = np.zeros((0, self.lattice_form().theta.shape[0]), dtype=np.int64)
-        return self._patch_of(*substitute(self.lattice_form(), types, coords, den))
+        return self._patch_of(*substitute(self.lattice_form(), types, coords, den)[:3])
 
     def _patch_of(self, types, coords, den) -> Patch:
         """The Patch, in canonical order, of an integer-form tile set."""
         perm = value_order(self.field, coords, den, groups=self.lattice_form().rank[types])
         offsets = vectors(self.field, coords[perm], den)
-        names = [self.order[k] for k in types[perm].tolist()]
-        return Patch(map(PlacedTile, names, offsets), presorted=True)
+        names = np.array(self.order, dtype=object)[types[perm]].tolist()
+        tiles = unchecked(PlacedTile, len(offsets), proto=names, offset=offsets)
+        return Patch(tiles, presorted=True)
 
     # -- supports -----------------------------------------------------------
 

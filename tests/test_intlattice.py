@@ -3,18 +3,30 @@
 from fractions import Fraction
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tilingspectra import TilingError, golden_field, intlattice
+from tilingspectra import (
+    IntPoly,
+    NumberField,
+    TilingError,
+    golden_field,
+    intlattice,
+    make_algebraic,
+)
 from tilingspectra.field import QThetaElem
+from tilingspectra.lattice import hnf
 from tilingspectra.ordering import value_order
 from tilingspectra.returns import (
     ReturnSample,
     _autocorrelation_rows,
-    _dense_differences,
-    _difference_rows,
+    _return_rows,
     enumerate_returns,
+    group_basis,
     kenyon_basis,
     stabilized_module,
 )
@@ -101,6 +113,101 @@ def test_object_fallback_gives_identical_output(all_systems, monkeypatch):
         assert got == expected[name], name
 
 
+def test_one_gather_substitute_in_python_ints_matches_reference(all_systems, monkeypatch):
+    """Every step on object arrays: the gather must not depend on int64."""
+    monkeypatch.setattr(intlattice, "INT64_LIMIT", 2)
+    for name, system in all_systems.items():
+        fresh = system_from_dict(serialize_system(system))
+        assert fresh.grow_lattice(fresh.order[0], 3)[1].dtype == object, name
+        for tid in fresh.order:
+            for n in range(4):
+                label = (name, tid, n)
+                assert_same_patch(fresh.grow(tid, n), reference_grow(fresh, tid, n), label)
+            patch = fresh.grow(tid, 2)
+            expected = reference_patch(reference_substitute(fresh, patch.tiles))
+            assert_same_patch(fresh.substitute_patch(patch), expected, (name, tid))
+
+
+CUBIC = NumberField(make_algebraic(IntPoly((-1, -1, 0, 1)), Fraction(133, 100)))
+# a field whose degree divides the row width, for group_basis
+FIELD_OF_WIDTH = {
+    1: NumberField(make_algebraic(IntPoly((-2, 1)), 2)),
+    2: golden_field(),
+    3: CUBIC,
+    4: golden_field(),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(
+            st.integers(-40, 40) | st.sampled_from([10**20, -(10**19) - 7]), min_size=6, max_size=6
+        ),
+        max_size=30,
+    ),
+    den=st.integers(1, 12),
+)
+def test_vectors_match_field_construction(rows, den):
+    """d = 2 entries over a cubic field, over den, as int64 or Python ints."""
+    field = CUBIC
+    coords = intlattice.int_array(rows, 6)
+    expected = [
+        field.vec([field.elem([Fraction(c, den) for c in row[k : k + 3]]) for k in (0, 3)])
+        for row in rows
+    ]
+    got = intlattice.vectors(field, coords, den)
+    assert [v.serialize() for v in got] == [v.serialize() for v in expected]
+    assert got == expected
+    assert all(type(v.entries) is tuple and v.dim == 2 for v in got)
+
+
+@st.composite
+def lattice_rows(draw):
+    """Integer rows of a lattice, with duplicates, zero rows and rank
+    deficiency (rows are combinations of at most `width` generators),
+    entries optionally beyond INT64_LIMIT."""
+    width = draw(st.integers(1, 4))
+    big = draw(st.booleans())
+    entry = st.integers(-(2**70), 2**70) if big else st.integers(-9, 9)
+    row = st.lists(entry, min_size=width, max_size=width)
+    gens = draw(st.lists(row, min_size=1, max_size=width))
+    combo = st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens))
+    rows = [
+        [sum(c * g[k] for c, g in zip(coeffs, gens)) for k in range(width)]
+        for coeffs in draw(st.lists(combo, max_size=40))
+    ]
+    rows += draw(st.lists(st.sampled_from(rows or [[0] * width]), max_size=5))
+    rows += [[0] * width] * draw(st.integers(0, 2))
+    order = draw(st.permutations(range(len(rows))))
+    return width, [rows[i] for i in order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_rows(), st.integers(1, 5), st.integers(1, 6))
+def test_incremental_basis_equals_full_hnf(case, chunk, den):
+    width, rows = case
+    coords = intlattice.int_array(rows, width)
+    # every row passes the membership test against the HNF of all rows
+    assert intlattice._in_span(hnf(rows), coords).all()
+    with mock.patch.object(intlattice, "_HNF_CHUNK", chunk):
+        assert intlattice.lattice_basis(coords) == hnf(rows)
+        if not any(map(any, rows)):
+            return
+        # group_basis reduces rows / den to lowest terms first
+        field = FIELD_OF_WIDTH[width]
+        sample = ReturnSample(
+            depth=0,
+            vectors=intlattice.vectors(field, coords, den),
+            dimension=width // field.degree,
+            coords=coords,
+            den=den,
+        )
+        module = group_basis(sample, field)
+    reduced, rden = intlattice.reduce_rows(coords, den)
+    assert (module.denominator, module.hnf_rows) == (rden, hnf(reduced.tolist()))
+
+
 def test_value_order_near_tie_takes_exact_comparison(monkeypatch):
     """F_41 and F_40 * theta differ by theta^-40 (about 4e-9) at size 1.7e8,
     below float64 resolution: the float keys tie, the bounds overlap, and
@@ -141,16 +248,27 @@ def test_kenyon_rejects_non_integer_coordinates(fib):
     module = stabilized_module(fib)
     K = fib.field
     sample = ReturnSample(depth=6, vectors=[K.vec([1]), K.vec([Fraction(1, 3)])], dimension=1)
-    with pytest.raises(TilingError, match="non-integer coordinates"):
+    message = (
+        "return vector [['1/3', '0']] has non-integer coordinates; "
+        "unstabilized sample or defect"
+    )
+    with pytest.raises(TilingError) as info:
         kenyon_basis(fib, module, depth=6, sample=sample)
+    assert str(info.value) == message
     kb = kenyon_basis(fib, module, depth=6)
     assert kb.has_integer_coordinates(K.vec([1]))
     assert not kb.has_integer_coordinates(K.vec([Fraction(1, 3)]))
 
 
-def pairwise(arr):
-    rows = arr.tolist()
-    return {tuple(a - b for a, b in zip(x, y)) for x in rows for y in rows}
+def pairwise_returns(system, depth):
+    """Nonzero differences of same-type rows of every omega^depth(t)."""
+    out = set()
+    for tid in system.order:
+        types, coords, _ = system.grow_lattice(tid, depth)
+        for p in range(len(system.order)):
+            rows = coords[types == p].tolist()
+            out |= {tuple(a - b for a, b in zip(x, y)) for x in rows for y in rows if x != y}
+    return out
 
 
 def grid_group(chair):
@@ -161,6 +279,7 @@ def grid_group(chair):
 def test_broken_fft_counts_fall_back_to_dense(chair, monkeypatch):
     arr = grid_group(chair)
     assert len(arr) >= 64 and _autocorrelation_rows(arr) is not None
+    expected, _ = _return_rows(chair, 4)
     real = np.fft.irfftn
     calls = []
 
@@ -170,17 +289,19 @@ def test_broken_fft_counts_fall_back_to_dense(chair, monkeypatch):
 
     monkeypatch.setattr(np.fft, "irfftn", off_by_one)
     assert _autocorrelation_rows(arr) is None
-    rows = _difference_rows(arr)
+    rows, _ = _return_rows(chair, 4)
     assert calls
-    assert set(map(tuple, rows.tolist())) == pairwise(arr)
+    assert np.array_equal(rows, expected)
+    assert set(map(tuple, rows.tolist())) == pairwise_returns(chair, 4)
 
 
 def test_dense_differences_in_small_blocks(chair, monkeypatch):
     import tilingspectra.returns as returns
 
+    monkeypatch.setattr(returns, "_autocorrelation_rows", lambda arr: None)
+    whole, _ = _return_rows(chair, 4)
     arr = grid_group(chair)
-    whole = _dense_differences(arr)
     monkeypatch.setattr(returns, "_DENSE_BLOCK_BYTES", 8 * arr.shape[1] * len(arr) * 3)
-    blocked = _dense_differences(arr)
+    blocked, _ = _return_rows(chair, 4)
     assert np.array_equal(whole, blocked)
-    assert set(map(tuple, blocked.tolist())) == pairwise(arr)
+    assert set(map(tuple, blocked.tolist())) == pairwise_returns(chair, 4)

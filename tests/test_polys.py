@@ -1,6 +1,12 @@
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tilingspectra import make_algebraic
 
 from tilingspectra.polys import (
     IntPoly,
@@ -84,3 +90,38 @@ def test_rational_roots():
 
 def test_reciprocal():
     assert reciprocal(IntPoly([-1, -1, 1])).coeffs == (1, -1, -1)
+
+
+def test_rational_roots_of_large_constant_term_are_fast():
+    """Finding the root 10^20 + 1 takes a few dozen Sturm bisections, not
+    a divisor search of the constant term."""
+    p = IntPoly([-(10**20) - 1, 1])
+    start = time.perf_counter()
+    theta = make_algebraic(p, 10**20 + 1)
+    assert time.perf_counter() - start < 0.1
+    assert theta.interval[0] < 10**20 + 1 < theta.interval[1]
+    assert rational_roots(IntPoly([-(10**20), 1])) == [Fraction(10**20)]
+    roots = rational_roots(IntPoly([10**20, -3 * 10**20 - 1, 3]))
+    assert roots == [Fraction(1, 3), Fraction(10**20)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    roots=st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=12), max_size=4),
+    cofactor=st.lists(st.integers(-30, 30), min_size=1, max_size=4),
+    scale=st.integers(1, 6),
+)
+def test_rational_roots_match_sympy(roots, cofactor, scale):
+    """Products of linear factors (repeats allowed) and a random integer
+    polynomial, against sympy's factorization over Q."""
+    x = sympy.Symbol("x")
+    expr = scale * sympy.Poly(list(reversed(cofactor)) or [1], x).as_expr()
+    for r in roots:
+        expr *= r.denominator * x - r.numerator
+    poly = sympy.Poly(sympy.expand(expr), x)
+    if poly.is_zero or poly.degree() == 0:
+        return
+    coeffs = [int(c) for c in reversed(poly.all_coeffs())]
+    linear = [f.all_coeffs() for f, _ in poly.factor_list()[1] if f.degree() == 1]
+    expected = sorted({Fraction(-int(b), int(a)) for a, b in linear})
+    assert rational_roots(IntPoly(coeffs)) == expected

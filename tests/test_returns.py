@@ -176,38 +176,35 @@ def test_kenyon_basis_grid(grid2):
     assert len(kb.basis) == 2
 
 
-def test_fft_and_pairwise_difference_paths_agree(grid2, chair, np26):
-    # the autocorrelation shortcut must produce exactly the pairwise set
-    from tilingspectra.returns import _group_difference_keys
+def test_fft_and_pairwise_difference_paths_agree(grid2, chair, np26, monkeypatch):
+    # the row path of enumerate_returns, FFT shortcut included, must give
+    # exactly the pairwise set
+    import tilingspectra.returns as returns
+    from tilingspectra.intlattice import vectors
 
-    for system, tid, depth in ((grid2, "sq", 3), (chair, "NE", 3), (np26, "a", 3)):
-        patch = system.grow(tid, depth)
-        groups = {}
-        for t in patch:
-            groups.setdefault(t.proto, []).append(t.offset)
-        for offsets in groups.values():
-            if len(offsets) < 2:
-                continue
-            fast, slow = set(), set()
-            _group_difference_keys(offsets, fast)
-            # pairwise reference: exact vector arithmetic
-            for i in range(len(offsets)):
-                for j in range(len(offsets)):
-                    if i == j:
-                        continue
-                    d = offsets[i] - offsets[j]
-                    row = []
-                    den = 1
-                    from math import gcd, lcm
+    fft_taken = []
+    real = returns._autocorrelation_rows
 
-                    for e in d.entries:
-                        for c in e.coeffs:
-                            den = lcm(den, c.denominator)
-                    for e in d.entries:
-                        for c in e.coeffs:
-                            row.append(int(c * den))
-                    g = den
-                    for v in row:
-                        g = gcd(g, abs(v))
-                    slow.add((den // g, *(v // g for v in row)))
-            assert fast == slow
+    def spy(arr):
+        rows = real(arr)
+        fft_taken.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(returns, "_autocorrelation_rows", spy)
+    for system, depth in ((grid2, 3), (chair, 3), (np26, 3)):
+        rows, den = returns._return_rows(system, depth)
+        fast = [v.key() for v in vectors(system.field, rows, den)]
+        # pairwise reference: exact vector arithmetic
+        slow = set()
+        for tid in system.order:
+            groups = {}
+            for t in system.grow(tid, depth):
+                groups.setdefault(t.proto, []).append(t.offset)
+            for offsets in groups.values():
+                for a in offsets:
+                    for b in offsets:
+                        if a != b:
+                            slow.add((a - b).key())
+        assert len(fast) == len(set(fast))
+        assert set(fast) == slow
+    assert any(fft_taken)
