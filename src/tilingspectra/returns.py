@@ -110,8 +110,9 @@ def _return_rows(system: SubstitutionSystem, depth: int, budget: int = DEFAULT_P
     ext = [max(col) for col in zip(*extents)]
     lo = [-e for e in ext]
     strides = radix([2 * e + 1 for e in ext])
-    # keys held back from deduplication stay below _DENSE_BLOCK_BYTES
-    # plus twice the distinct keys found so far
+    # deduplicate whenever the keys held pass _DENSE_BLOCK_BYTES plus
+    # twice the bytes of the distinct keys found so far, so memory stays
+    # bounded by the block cap and the size of the result
     parts, held, merged = [], 0, 0
     for arr in groups:
         for keys in _difference_keys(arr, ext, strides):
@@ -128,24 +129,20 @@ def _return_rows(system: SubstitutionSystem, depth: int, budget: int = DEFAULT_P
 def _difference_keys(arr, ext, strides):
     """Blocks of packed keys, under the radix `strides` and offsets
     -ext, of the differences arr[i] - arr[j] over all i, j (the zero
-    difference included).  The set of differences is the support of the
-    patch autocorrelation, so a group whose bounding box has fewer cells
-    than it has pairs goes through an FFT instead of n^2 differences."""
-    lo = [-e for e in ext]
+    difference included).
+
+    The set of differences is the support of the patch autocorrelation,
+    so a group whose bounding box has fewer cells than it has pairs goes
+    through an FFT instead of n^2 differences.  Otherwise each row packs
+    into one integer key over the group's minimum, and the radix leaves
+    room for every difference, so key(x - y) = key(x) - key(y) + const;
+    the keys are subtracted in row blocks of at most _DENSE_BLOCK_BYTES,
+    and a group of more than one block deduplicates each block."""
     if len(arr) >= 64 and arr.dtype != object and fits(2 * abs_max(arr)):
         rows = _autocorrelation_rows(arr)
         if rows is not None:
-            yield pack(rows, lo, strides)
+            yield pack(rows, [-e for e in ext], strides)
             return
-    yield from _dense_keys(arr, ext, strides)
-
-
-def _dense_keys(arr, ext, strides):
-    """Pairwise differences as packed keys.  Each row packs into one
-    integer key over its group's minimum, and the radix leaves room for
-    every difference, so key(x - y) = key(x) - key(y) + const; the keys
-    are subtracted in row blocks of at most _DENSE_BLOCK_BYTES, and a
-    group of more than one block deduplicates each block."""
     n = len(arr)
     keys = pack(arr, arr.min(axis=0).tolist(), strides)
     shifted = keys + sum(e * s for e, s in zip(ext, strides[1:]))

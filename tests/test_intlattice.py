@@ -1,5 +1,7 @@
 """The integer patch core against per-tile exact references."""
 
+import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -126,6 +128,39 @@ def test_one_gather_substitute_in_python_ints_matches_reference(all_systems, mon
             patch = fresh.grow(tid, 2)
             expected = reference_patch(reference_substitute(fresh, patch.tiles))
             assert_same_patch(fresh.substitute_patch(patch), expected, (name, tid))
+
+
+def test_lattice_form_is_read_only_and_shared_by_threads(chair):
+    """Six threads (more than cores) fill one fresh system's lattice form
+    and grow every prototile from it at once; each result equals the
+    serial one, and no array of the form can be written."""
+    expected = [chair.grow(tid, 4).serialize() for tid in chair.order]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            fresh = system_from_dict(serialize_system(chair))
+            barrier = threading.Barrier(6)
+            results = [None] * 6
+
+            def work(i):
+                barrier.wait(timeout=30)
+                results[i] = [fresh.grow(tid, 4).serialize() for tid in fresh.order]
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert all(r == expected for r in results)
+    finally:
+        sys.setswitchinterval(old_interval)
+    form = fresh.lattice_form()
+    arrays = [v for v in form if isinstance(v, np.ndarray)]
+    assert len(arrays) == 6 and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        form.child_offsets[0, 0] = 1
 
 
 CUBIC = NumberField(make_algebraic(IntPoly((-1, -1, 0, 1)), Fraction(133, 100)))
