@@ -129,12 +129,11 @@ def lattice_basis(rows: np.ndarray):
     the lattice of all rows (a row that passes already lies in it), and
     a lattice has one HNF, so the result is that of the one-shot HNF."""
     chunk = _HNF_CHUNK
-    basis = hnf(rows[:chunk].tolist())
-    rest = rows[chunk:]
+    basis, rest = [], rows
     while len(rest):
-        rest = rest[~_in_span(basis, rest)]
-        basis = hnf(basis + rest[:chunk].tolist()) if len(rest) else basis
+        basis = hnf(basis + rest[:chunk].tolist())
         rest = rest[chunk:]
+        rest = rest[~_in_span(basis, rest)]
     return basis
 
 

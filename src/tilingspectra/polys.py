@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-import math
-from math import gcd
+from math import floor, gcd
 
 from .errors import TilingError
 
@@ -280,8 +279,8 @@ def rational_roots(p: IntPoly):
     the square-free part isolate the real roots: intervals (lo, hi] are
     halved from the Cauchy bound down, and one that still holds a root
     once narrower than 1/|a_n| holds at most one fraction k/|a_n|, which
-    is tested exactly.  The work is the bit size of the bound times |a_n|
-    per real root, not a search over divisors."""
+    is tested exactly.  That takes about log2(bound * |a_n|) bisections
+    per real root instead of a search over divisors."""
     if p.degree == 0:
         return []
     f = p.as_fractions()
@@ -296,7 +295,7 @@ def rational_roots(p: IntPoly):
         if v_lo == v_hi:  # no root in (lo, hi]
             continue
         if (hi - lo) * lead < 1:
-            cand = Fraction(math.floor(hi * lead), lead)
+            cand = Fraction(floor(hi * lead), lead)
             if cand > lo and p(cand) == 0:
                 roots.append(cand)
             continue
