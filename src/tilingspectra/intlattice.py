@@ -148,8 +148,9 @@ def _in_span(basis, rows: np.ndarray) -> np.ndarray:
     if basis:
         big = abs_max(int_array(basis, len(basis[0])))
         # each step subtracts q * b with |q| <= |res|, so |res| grows at
-        # most by a factor 1 + big per basis row
-        if res.dtype == object or not fits(abs_max(res) * (1 + big) ** len(basis)):
+        # most by a factor 1 + big per basis row; the basis rows are cast
+        # to res's dtype, so they must fit too (even when res is empty)
+        if res.dtype == object or not fits(max(1, abs_max(res)) * (1 + big) ** len(basis)):
             res = widen(res)
         for b in basis:
             col = next(k for k, v in enumerate(b) if v)
