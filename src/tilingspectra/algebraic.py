@@ -3,21 +3,27 @@
 The isolating interval has rational endpoints, contains exactly one real
 root of the polynomial, and only ever shrinks; every question about the
 number (sign, comparison, decimal digits) is answered by refining it.
+The number keeps the Sturm chain of its polynomial for root counts, and
+bisects on integer numerators over one common denominator.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from math import lcm
 
 from .errors import PrecisionError, TilingError
 from .polys import (
     IRREDUCIBILITY_PRIMES,
     IntPoly,
     certify_irreducible,
-    is_squarefree,
+    chain_count,
+    derivative,
+    hom_value,
     rational_roots,
-    sturm_count,
+    sturm_chain,
+    variations,
 )
 
 
@@ -29,20 +35,26 @@ class AlgebraicReal:
     never changes the selected root.
     """
 
-    __slots__ = ("minpoly", "_interval", "_lock")
+    __slots__ = ("minpoly", "_chain", "_state", "_lock")
 
-    def __init__(self, minpoly: IntPoly, lo: Fraction, hi: Fraction):
+    def __init__(self, minpoly: IntPoly, lo: Fraction, hi: Fraction, chain=None):
+        """`chain` is minpoly's Sturm chain (p, p', ...) when the caller
+        has built it already."""
         self.minpoly = minpoly
+        self._chain = chain or sturm_chain(minpoly.coeffs, derivative(minpoly.coeffs))
         lo, hi = Fraction(lo), Fraction(hi)
-        # one (lo, hi) tuple, replaced whole and only by a narrower one, so
-        # concurrent readers see a consistent pair that never widens
-        self._interval = (lo, hi)
+        m = lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (m // lo.denominator), hi.numerator * (m // hi.denominator)
+        # one state, replaced whole and only by a narrower interval, so
+        # concurrent readers see a consistent pair that never widens: the
+        # interval (lo, hi) and the same as integers (a, b) over m > 0
+        self._state = ((lo, hi), (a, b, m))
         self._lock = threading.Lock()
         if not (lo < hi):
             raise TilingError("empty isolating interval")
-        if minpoly(lo) == 0 or minpoly(hi) == 0:
+        if hom_value(minpoly.coeffs, a, m) == 0 or hom_value(minpoly.coeffs, b, m) == 0:
             raise TilingError("isolating interval endpoints must not be roots")
-        if sturm_count(minpoly.as_fractions(), lo, hi) != 1:
+        if variations(self._chain, a, m) - variations(self._chain, b, m) != 1:
             raise TilingError("interval does not isolate exactly one root")
 
     @property
@@ -51,40 +63,48 @@ class AlgebraicReal:
 
     @property
     def interval(self):
-        return self._interval
+        return self._state[0]
+
+    @property
+    def scaled_interval(self):
+        """(a, b, m): the interval as (a/m, b/m) with integers and m > 0."""
+        return self._state[1]
 
     def width(self) -> Fraction:
-        lo, hi = self._interval
+        lo, hi = self._state[0]
         return hi - lo
+
+    def count_roots(self, lo, hi) -> int:
+        """Number of distinct real roots of minpoly in (lo, hi]."""
+        return chain_count(self._chain, lo, hi)
 
     def refine(self, steps: int = 1):
         """Bisect the isolating interval `steps` times.  Another thread
         may have narrowed it meanwhile; the narrower interval is kept."""
-        p = self.minpoly
-        lo, hi = self._interval
-        slo = 1 if p(lo) > 0 else -1
+        p = self.minpoly.coeffs
+        a, b, m = self._state[1]
+        slo = hom_value(p, a, m) > 0
         for _ in range(steps):
-            mid = (lo + hi) / 2
-            v = p(mid)
+            mid = a + b  # the midpoint, over 2m
+            a, b, m = 2 * a, 2 * b, 2 * m
+            v = hom_value(p, mid, m)
             if v == 0:
-                # mid is the (rational) root itself; renormalize to a
-                # narrow interval strictly around it.
-                w = (hi - lo) / 8
-                lo, hi = mid - w, mid + w
-                while p(lo) == 0 or p(hi) == 0:
-                    w /= 2
-                    lo, hi = mid - w, mid + w
-                slo = 1 if p(lo) > 0 else -1
+                # mid is the (rational) root itself; renormalize to the
+                # interval of width (b - a)/4 around it, over 8m.  Its ends
+                # lie inside (a, b), which holds no other root, so they
+                # are not roots.
+                a, b, m = 8 * mid - (b - a), 8 * mid + (b - a), 8 * m
+                slo = hom_value(p, a, m) > 0
                 continue
-            if (1 if v > 0 else -1) == slo:
-                lo = mid
+            if (v > 0) == slo:
+                a = mid
             else:
-                hi = mid
+                b = mid
         with self._lock:
-            old_lo, old_hi = self._interval
-            if hi - lo < old_hi - old_lo:
-                self._interval = (lo, hi)
-            return self._interval
+            _, (old_a, old_b, old_m) = self._state
+            if (b - a) * old_m < (old_b - old_a) * m:
+                self._state = ((Fraction(a, m), Fraction(b, m)), (a, b, m))
+            return self._state[0]
 
     def refine_below(self, width: Fraction):
         """Shrink the interval until it is narrower than `width`."""
@@ -102,7 +122,7 @@ class AlgebraicReal:
     def cmp_rational(self, r) -> int:
         """Exact sign of (self - r)."""
         r = Fraction(r)
-        lo, hi = self._interval
+        lo, hi = self.interval
         if self.minpoly(r) == 0 and lo < r < hi:
             return 0
         while lo < r < hi:
@@ -131,6 +151,7 @@ def make_algebraic(minpoly, approx) -> AlgebraicReal:
     irreducible.  Irreducibility is decided exactly for degree <= 3 (a
     reducible cubic or quadratic over Q has a rational root); a higher
     degree must be certified by `certify_irreducible`, or it is rejected.
+    One Sturm chain of (minpoly, minpoly') serves every check and count.
     """
     if not isinstance(minpoly, IntPoly):
         minpoly = IntPoly(minpoly)
@@ -138,11 +159,12 @@ def make_algebraic(minpoly, approx) -> AlgebraicReal:
         raise TilingError("minimal polynomial must be monic")
     if minpoly.degree == 0:
         raise TilingError("minimal polynomial must have positive degree")
-    if not is_squarefree(minpoly):
+    chain = sturm_chain(minpoly.coeffs, derivative(minpoly.coeffs))
+    if len(chain[-1]) > 1:  # gcd(p, p') is not constant
         raise TilingError("polynomial is not square-free (shares a factor with its derivative)")
 
     approx = Fraction(approx) if not isinstance(approx, Fraction) else approx
-    rroots = rational_roots(minpoly)
+    rroots = rational_roots(minpoly, chain)
     if minpoly.degree > 1 and rroots:
         raise TilingError(
             f"polynomial is reducible: rational root {rroots[0]} detected"
@@ -160,42 +182,13 @@ def make_algebraic(minpoly, approx) -> AlgebraicReal:
         lo -= Fraction(1, 1000)
     while minpoly(hi) == 0:
         hi += Fraction(1, 1000)
-    n = sturm_count(minpoly.as_fractions(), lo, hi)
+    n = chain_count(chain, lo, hi)
     if n == 0:
         raise TilingError(f"no real root of {minpoly} within 1/4 of {approx}")
     if n > 1:
         raise TilingError(
             f"{n} real roots of {minpoly} within 1/4 of {approx}; ambiguous selection"
         )
-    # Bisect down to a clean sign-change bracket.
-    while True:
-        if minpoly(lo) * minpoly(hi) < 0:
-            break
-        mid = (lo + hi) / 2
-        if minpoly(mid) == 0:
-            w = (hi - lo) / 8
-            lo, hi = mid - w, mid + w
-            continue
-        if sturm_count(minpoly.as_fractions(), lo, mid) == 1:
-            hi = mid
-        else:
-            lo = mid
-    return AlgebraicReal(minpoly, lo, hi)
-
-
-# ---------------------------------------------------------------------------
-# rational interval arithmetic (endpoints are Fractions)
-
-
-def iv_mul(a, b):
-    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(ps), max(ps))
-
-
-def eval_poly_interval(coeffs, iv):
-    """Horner evaluation of a Fraction polynomial over an interval."""
-    acc = (Fraction(0), Fraction(0))
-    for c in reversed(list(coeffs)):
-        acc = iv_mul(acc, iv)
-        acc = (acc[0] + c, acc[1] + c)
-    return acc
+    # The one root in (lo, hi] is simple and neither end is a root, so
+    # minpoly changes sign across the interval: it is a valid bracket.
+    return AlgebraicReal(minpoly, lo, hi, chain)

@@ -36,8 +36,25 @@ from .systemfile import _parse_vec, parse_system, read_system
 from .tiles import is_primitive, validate
 
 
+class _ParserExit(Exception):
+    """(status, text) of a usage error or --help: text for stdout when the
+    status is 0, for stderr otherwise."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises where argparse would print to the process's streams and exit,
+    so that cli_dispatch writes to the streams it was given.  Subparsers
+    are of this class too."""
+
+    def print_help(self, file=None):
+        raise _ParserExit(0, self.format_help())
+
+    def error(self, message):
+        raise _ParserExit(2, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="tilingspectra",
         description="Exact spectral analysis of substitution tilings",
     )
@@ -91,6 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built once: parsing reads the parser and never changes it, so threads share it
+_PARSER = build_parser()
+
+
 def _emit(out, payload):
     out.write(json.dumps(payload) + "\n")
 
@@ -128,11 +149,12 @@ def _coerce_vector(system, data, label):
 def cli_dispatch(argv, stdout=None, stderr=None) -> int:
     out = stdout or sys.stdout
     err = stderr or sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args = _PARSER.parse_args(argv)
+    except _ParserExit as exc:
+        status, text = exc.args
+        (out if status == 0 else err).write(text)
+        return status
     try:
         return _run(args, out, err)
     except UndecidedError as exc:

@@ -3,7 +3,8 @@
 Elements carry their coordinates in the power basis 1, theta, ...,
 theta^(s-1) as Fractions; products reduce modulo the minimal polynomial.
 Order comparisons refine theta's isolating interval until the sign of the
-difference is certain, with a pure-rational fast path for degree 1.
+difference is certain, with a pure-rational fast path for degree 1; the
+interval evaluation runs on integer numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -11,10 +12,11 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import repeat
+from math import lcm
 
-from .algebraic import AlgebraicReal, eval_poly_interval, make_algebraic
+from .algebraic import AlgebraicReal, make_algebraic
 from .errors import FieldMismatchError, PrecisionError, TilingError
-from .polys import IntPoly, rp_divmod, rp_mul, rp_normalize, sturm_count
+from .polys import IntPoly, interval_horner, rp_divmod, rp_mul, rp_normalize
 
 _MAX_SIGN_REFINEMENTS = 5000
 
@@ -92,7 +94,7 @@ class NumberField:
         lo, hi = max(lo1, lo2), min(hi1, hi2)
         if lo >= hi:
             return False
-        return sturm_count(self.minpoly.as_fractions(), lo, hi) == 1
+        return self.theta.count_roots(lo, hi) == 1
 
     def power_traces(self, upto: int):
         """Tr(theta^k) for k = 0..upto, by Newton's identities.
@@ -287,8 +289,9 @@ class QThetaElem:
             c = self.coeffs[0]
             return 1 if c > 0 else -1
         theta = self.field.theta
+        nums, _ = self._numerators()
         for _ in range(_MAX_SIGN_REFINEMENTS):
-            lo, hi = eval_poly_interval(self.coeffs, theta.interval)
+            lo, hi, _ = interval_horner(nums, *theta.scaled_interval)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -297,6 +300,11 @@ class QThetaElem:
         raise PrecisionError(
             "sign refinement exhausted; is the minimal polynomial reducible?"
         )
+
+    def _numerators(self):
+        """(numerators, den): the coordinates as integers over one den > 0."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
 
     def cmp(self, other) -> int:
         return (self - other).sign()
@@ -319,10 +327,12 @@ class QThetaElem:
         """A rational interval of width < `width` containing the value."""
         width = Fraction(width)
         theta = self.field.theta
+        nums, den = self._numerators()
         for _ in range(_MAX_SIGN_REFINEMENTS):
-            lo, hi = eval_poly_interval(self.coeffs, theta.interval)
-            if hi - lo < width:
-                return (lo, hi)
+            lo, hi, scale = interval_horner(nums, *theta.scaled_interval)
+            scale *= den
+            if (hi - lo) * width.denominator < width.numerator * scale:
+                return (Fraction(lo, scale), Fraction(hi, scale))
             theta.refine(8)
         raise PrecisionError("interval refinement exhausted")
 

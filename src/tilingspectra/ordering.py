@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebraic import iv_mul
 from .intlattice import embed, vectors
+from .polys import iv_mul
 
 _SNAPSHOT_WIDTH = Fraction(1, 10**30)
 _U = 2.0**-53  # unit roundoff of float64

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .algebraic import AlgebraicReal
 from .errors import PrecisionError, TilingError
 from .polys import (
     IntPoly,
     cauchy_index,
-    int_content,
     reciprocal,
     rp_divmod,
     rp_gcd,
@@ -63,7 +63,7 @@ def _schur_count(coeffs) -> int:
         t.pop()
     if not t or t[0] == 0:
         raise _Degenerate("vanishing Schur transform")
-    g = int_content(t)
+    g = gcd(*t)
     t = [c // g for c in t]
     if t[0] > 0:
         # |a0| > |an|: the transform keeps the inside count.
@@ -141,9 +141,7 @@ def inside_unit_disc_count_winding(p: IntPoly) -> int:
             padd(pmul(zp_re, re_z), [-c for c in pmul(zp_im, im_z)]),
             padd(pmul(zp_re, im_z), pmul(zp_im, re_z)),
         )
-    A = tuple(Fraction(c) for c in acc_re)
-    B = tuple(Fraction(c) for c in acc_im)
-    idx = cauchy_index(A, B)
+    idx = cauchy_index(acc_re, acc_im)
     if idx % 2 != 0:
         raise TilingError("odd Cauchy index: root on the unit circle?")
     return -idx // 2

@@ -2,19 +2,18 @@
 
 Polynomials are coefficient sequences in ascending degree order.  Integer
 polynomials get a thin immutable wrapper (IntPoly); the rational helpers
-work on plain tuples of Fraction and are the workhorses for Sturm chains,
-gcds and root isolation.  Everything here is exact; no floats.
+work on plain tuples of Fraction and serve gcds and division.  Sturm
+chains, root counting and root isolation run on integer coefficients.
+Everything here is exact; no floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd
+from math import gcd, lcm
 
 from .errors import TilingError
-
-Rat = Fraction
 
 
 def _strip(coeffs):
@@ -55,11 +54,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "IntPoly":
-        if self.degree == 0:
-            raise TilingError("derivative of a constant is zero")
-        return IntPoly([k * c for k, c in enumerate(self.coeffs)][1:])
-
     def as_fractions(self):
         return tuple(Fraction(c) for c in self.coeffs)
 
@@ -85,23 +79,8 @@ def rp_normalize(p):
     return tuple(_strip([Fraction(c) for c in p]))
 
 
-def rp_degree(p):
-    return len(p) - 1
-
-
 def rp_is_zero(p):
     return len(p) == 0
-
-
-def rp_eval(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def rp_neg(p):
-    return tuple(-c for c in p)
 
 
 def rp_mul(p, q):
@@ -135,10 +114,6 @@ def rp_divmod(p, q):
     return tuple(_strip(quot)), tuple(_strip(rem))
 
 
-def rp_derivative(p):
-    return tuple(_strip([k * c for k, c in enumerate(p)][1:]))
-
-
 def rp_monic(p):
     if rp_is_zero(p):
         return p
@@ -154,74 +129,113 @@ def rp_gcd(p, q):
     return rp_monic(a)
 
 
-def int_content(coeffs):
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(int(c)))
-    return g
-
-
 def rp_to_int_primitive(p):
     """Scale a rational polynomial to a primitive integer polynomial
     with positive leading coefficient."""
-    p = rp_normalize(p)
-    if rp_is_zero(p):
-        return ()
-    from math import lcm
-
-    den = 1
-    for c in p:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in p]
-    g = int_content(ints)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
+    ints = _integer(p)
+    return tuple(-c for c in ints) if ints and ints[-1] < 0 else ints
 
 
 # ---------------------------------------------------------------------------
-# Sturm machinery
+# Sturm machinery on integer coefficients
+#
+# A chain element, or any polynomial whose signs alone matter, may be
+# replaced by a positive multiple of itself: every sign it takes stays the
+# same.  So the chains here hold primitive integer polynomials, remainders
+# come from pseudo-division scaled by |leading coefficient| only, and a
+# value p(num/den) is read as the integer den^deg(p) * p(num/den), which
+# has its sign for den > 0.
+
+
+def _integer(p):
+    """A positive multiple of the (int or Fraction) polynomial p with
+    coprime integer coefficients, trailing zeros dropped."""
+    p = _strip(p)
+    if not p:
+        return ()
+    den = lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    g = gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+def derivative(p):
+    """Coefficients of p' for a coefficient sequence p (empty for constants)."""
+    return tuple(k * c for k, c in enumerate(p))[1:]
+
+
+def _pseudo_divmod(a, b):
+    """Integer (q, r) with m^k * a = q * b + r and deg r < deg b, where
+    m = |leading coefficient of b| > 0 and k counts the division steps."""
+    r = list(a)
+    m, db = abs(b[-1]), len(b) - 1
+    sb = 1 if b[-1] > 0 else -1
+    q = [0] * max(len(a) - db, 0)
+    while r and len(r) - 1 >= db:
+        c, k = r[-1] * sb, len(r) - 1 - db
+        r = [m * x for x in r]
+        q = [m * x for x in q]
+        q[k] += c
+        for i, bi in enumerate(b):
+            r[k + i] -= c * bi
+        r.pop()  # the leading term cancels exactly
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r
 
 
 def sturm_chain(p0, p1):
-    """Signed remainder sequence starting from (p0, p1).
+    """Signed remainder sequence starting from (p0, p1), as primitive
+    integer polynomials (each a positive multiple of the rational one).
 
-    With p1 = p0' this is the classical Sturm chain; in general the sign
-    variations at the interval ends compute the Cauchy index of p1/p0.
+    With p1 = p0' this is the classical Sturm chain, and its last element
+    is gcd(p0, p0') up to a constant; in general the sign variations at
+    the interval ends compute the Cauchy index of p1/p0.
     """
-    chain = [rp_normalize(p0), rp_normalize(p1)]
-    while not rp_is_zero(chain[-1]):
-        _, r = rp_divmod(chain[-2], chain[-1])
-        chain.append(rp_neg(r))
-    chain.pop()  # drop the zero remainder
+    chain = [_integer(p0)]
+    r = _integer(p1)
+    while r:
+        chain.append(r)
+        r = _integer([-c for c in _pseudo_divmod(chain[-2], r)[1]])
     return chain
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
+def hom_value(p, num, den):
+    """den^deg(p) * p(num/den), an integer with the sign of p(num/den)
+    when den > 0."""
+    acc, scale = p[-1], 1
+    for c in reversed(p[:-1]):
+        scale *= den
+        acc = acc * num + c * scale
+    return acc
 
 
-def sign_variations(values):
-    signs = [_sign(v) for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def chain_variations_at(chain, x):
-    return sign_variations([rp_eval(p, x) for p in chain])
-
-
-def chain_variations_at_inf(chain, positive: bool):
-    vals = []
+def variations(chain, num, den=1):
+    """Sign variations of the chain at num/den (den > 0), zeros skipped."""
+    count, last = 0, 0
     for p in chain:
-        if rp_is_zero(p):
-            continue
-        lead = p[-1]
-        if positive:
-            vals.append(lead)
-        else:
-            vals.append(lead if rp_degree(p) % 2 == 0 else -lead)
-    return sign_variations(vals)
+        v = hom_value(p, num, den)
+        if v:
+            if last and (v > 0) != (last > 0):
+                count += 1
+            last = v
+    return count
+
+
+def _variations_at(chain, x):
+    """variations() at x: a Fraction or int, or '-inf'/'inf', where each
+    element takes the sign of its leading term (times (-1)^degree)."""
+    if x == "inf":
+        return variations([p[-1:] for p in chain], 1)
+    if x == "-inf":
+        return variations([p[-1:] if len(p) % 2 else (-p[-1],) for p in chain], 1)
+    return variations(chain, x.numerator, x.denominator)
+
+
+def chain_count(chain, lo, hi):
+    """Number of distinct real roots of chain[0] in the half-open interval
+    (lo, hi], from its Sturm chain (p, p', ...)."""
+    return _variations_at(chain, lo) - _variations_at(chain, hi)
 
 
 def sturm_count(p, lo, hi):
@@ -229,19 +243,10 @@ def sturm_count(p, lo, hi):
 
     Endpoints may be Fractions or the strings '-inf'/'inf'.
     """
-    p = rp_normalize(p)
-    if rp_degree(p) <= 0:
+    p = _integer(p)
+    if len(p) <= 1:
         return 0
-    chain = sturm_chain(p, rp_derivative(p))
-    if lo == "-inf":
-        va = chain_variations_at_inf(chain, positive=False)
-    else:
-        va = chain_variations_at(chain, Fraction(lo))
-    if hi == "inf":
-        vb = chain_variations_at_inf(chain, positive=True)
-    else:
-        vb = chain_variations_at(chain, Fraction(hi))
-    return va - vb
+    return chain_count(sturm_chain(p, derivative(p)), lo, hi)
 
 
 def cauchy_index(den, num):
@@ -250,14 +255,33 @@ def cauchy_index(den, num):
     Counts jumps of num/den from -inf to +inf minus jumps the other way,
     via sign variations of the signed remainder sequence.
     """
-    den = rp_normalize(den)
-    num = rp_normalize(num)
-    if rp_is_zero(den) or rp_is_zero(num):
+    if not _strip(den) or not _strip(num):
         return 0
-    chain = sturm_chain(den, num)
-    return chain_variations_at_inf(chain, positive=False) - chain_variations_at_inf(
-        chain, positive=True
-    )
+    return chain_count(sturm_chain(den, num), "-inf", "inf")
+
+
+# ---------------------------------------------------------------------------
+# interval evaluation
+
+
+def iv_mul(a, b):
+    """Product of the intervals a and b (ints or Fractions)."""
+    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return (min(ps), max(ps))
+
+
+def interval_horner(p, a, b, m):
+    """(lo, hi, scale) with lo/scale and hi/scale exactly the bounds that
+    Horner's rule in interval arithmetic gives for p over [a/m, b/m]
+    (m > 0): every step of the integer evaluation is the rational one
+    times one positive power of m, which keeps min and max in place."""
+    lo = hi = p[-1]
+    scale = 1
+    for c in reversed(p[:-1]):
+        scale *= m
+        lo, hi = iv_mul((lo, hi), (a, b))
+        lo, hi = lo + c * scale, hi + c * scale
+    return lo, hi, scale
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +289,12 @@ def cauchy_index(den, num):
 
 
 def is_squarefree(p: IntPoly) -> bool:
-    if p.degree == 0:
-        return True
-    g = rp_gcd(p.as_fractions(), p.derivative().as_fractions())
-    return rp_degree(g) == 0
+    """The last element of the Sturm chain (p, p') is gcd(p, p') up to a
+    constant, and p is square-free iff that element is a constant."""
+    return len(sturm_chain(p.coeffs, derivative(p.coeffs))[-1]) == 1
 
 
-def rational_roots(p: IntPoly):
+def rational_roots(p: IntPoly, chain=None):
     """All rational roots, exact and sorted.
 
     A rational root u/v in lowest terms has v dividing the leading
@@ -280,28 +303,33 @@ def rational_roots(p: IntPoly):
     halved from the Cauchy bound down, and one that still holds a root
     once narrower than 1/|a_n| holds at most one fraction k/|a_n|, which
     is tested exactly.  That takes about log2(bound * |a_n|) bisections
-    per real root instead of a search over divisors."""
+    per real root instead of a search over divisors.  `chain` is the
+    Sturm chain of p's square-free part when the caller has it; endpoints
+    are kept as integer numerators over one power-of-two multiple of |a_n|.
+    """
     if p.degree == 0:
         return []
-    f = p.as_fractions()
-    sqfree, _ = rp_divmod(f, rp_gcd(f, rp_derivative(f)))
-    chain = sturm_chain(sqfree, rp_derivative(sqfree))
+    if chain is None:
+        chain = sturm_chain(p.coeffs, derivative(p.coeffs))
+        if len(chain[-1]) > 1:  # repeated factors: divide out gcd(p, p')
+            sqfree = _pseudo_divmod(p.coeffs, chain[-1])[0]
+            chain = sturm_chain(sqfree, derivative(sqfree))
     lead = abs(p.leading)
-    bound = 1 + max(abs(Fraction(c, lead)) for c in p.coeffs[:-1])  # |root| < bound
+    bound = lead + max(abs(c) for c in p.coeffs[:-1])  # |root| < bound / lead
     roots = []
-    stack = [(-bound, bound, *(chain_variations_at(chain, x) for x in (-bound, bound)))]
+    stack = [(-bound, bound, lead, *(variations(chain, x, lead) for x in (-bound, bound)))]
     while stack:
-        lo, hi, v_lo, v_hi = stack.pop()
-        if v_lo == v_hi:  # no root in (lo, hi]
+        lo, hi, den, v_lo, v_hi = stack.pop()  # the interval (lo/den, hi/den]
+        if v_lo == v_hi:  # no root in it
             continue
-        if (hi - lo) * lead < 1:
-            cand = Fraction(floor(hi * lead), lead)
-            if cand > lo and p(cand) == 0:
-                roots.append(cand)
+        if (hi - lo) * lead < den:
+            k = hi * lead // den  # the candidate k/lead = floor(hi * lead) / lead
+            if k * den > lo * lead and hom_value(p.coeffs, k, lead) == 0:
+                roots.append(Fraction(k, lead))
             continue
-        mid = (lo + hi) / 2
-        v_mid = chain_variations_at(chain, mid)
-        stack += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
+        mid = lo + hi
+        v_mid = variations(chain, mid, 2 * den)
+        stack += [(2 * lo, mid, 2 * den, v_lo, v_mid), (mid, 2 * hi, 2 * den, v_mid, v_hi)]
     return sorted(roots)
 
 

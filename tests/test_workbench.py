@@ -3,11 +3,12 @@ import io
 import json
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from tilingspectra import SystemFileError
-from tilingspectra.cli import cli_dispatch
+from tilingspectra.cli import build_parser, cli_dispatch
 from tilingspectra.corpus import corpus_path, load
 from tilingspectra.svg import RenderSpec, render_svg
 from tilingspectra.systemfile import (
@@ -145,6 +146,66 @@ def test_cli_usage_error_exit_2():
     assert code == 2
     code, _, _ = run_cli("grow", corpus_file("fibonacci"), "--bogus")
     assert code == 2
+
+
+def test_cli_usage_errors_and_help_use_the_given_streams(capsys):
+    """argparse's usage errors and --help text go to the streams given to
+    cli_dispatch; nothing reaches the process's own stdout or stderr."""
+    usage = build_parser().format_usage()
+    code, out, err = run_cli("bogus")
+    assert (code, out) == (2, "")
+    assert err.startswith(usage)
+    assert "tilingspectra: error: argument command: invalid choice: 'bogus'" in err
+    code, out, err = run_cli("grow", corpus_file("fibonacci"))
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        "tilingspectra grow: error: the following arguments are required: --tile, --depth\n"
+    )
+    code, out, err = run_cli("--help")
+    assert (code, out, err) == (0, build_parser().format_help(), "")
+    code, out, err = run_cli("eigen", "check", "-h")
+    assert code == 0 and out.startswith("usage: tilingspectra eigen check") and err == ""
+    assert capsys.readouterr() == ("", "")
+
+
+def test_cli_threads_share_one_parser():
+    """Six barrier-released threads running a mix of commands (usage errors
+    included) through the shared parser print what a serial run prints."""
+    fib, tm = corpus_file("fibonacci"), corpus_file("tm")
+    commands = [
+        ["pisot", fib],
+        ["matrix", tm],
+        ["weakmixing", corpus_file("np26")],
+        ["eigen", "check", tm, "--alpha", '"1/3"'],
+        ["returns", "--depth", "3", "--basis", fib],
+        ["kenyon", "--depth", "3", tm],
+        ["validate", fib],
+        ["bogus"],
+        ["grow", fib],
+    ]
+    expected = [run_cli(*argv) for argv in commands]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        barrier = threading.Barrier(6)
+        results = [None] * 6
+
+        def work(i):
+            barrier.wait(timeout=30)
+            order = commands[i:] + commands[:i]
+            got = [run_cli(*argv) for argv in order]
+            results[i] = got[len(commands) - i :] + got[: len(commands) - i]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(old_interval)
+    for got in results:
+        assert got == expected
 
 
 def test_cli_validate_invalid_exit_1(tmp_path):
