@@ -401,32 +401,6 @@ def polygon_contains(outer: Polygon, inner: Polygon) -> bool:
     return contains_points(outer.vertices[0].field, *_common(outer.ints(), inner.ints()))
 
 
-def dist_sq_point_segment(p: QThetaVec, a: QThetaVec, b: QThetaVec) -> QThetaElem:
-    ab = b - a
-    ap = p - a
-    denom = dot(ab, ab)
-    t = dot(ap, ab)
-    if t.sign() <= 0:
-        return dot(ap, ap)
-    if (t - denom).sign() >= 0:
-        bp = p - b
-        return dot(bp, bp)
-    # |ap|^2 - (ap.ab)^2/|ab|^2
-    return dot(ap, ap) - t * t / denom
-
-
-def dist_sq_point_polygon(p: QThetaVec, poly: Polygon) -> QThetaElem:
-    """Squared distance to the closed region (0 when inside/boundary)."""
-    if poly.locate(p) != OUTSIDE:
-        return p.field.rational(0)
-    best = None
-    for a, b in poly.edges():
-        d = dist_sq_point_segment(p, a, b)
-        if best is None or (d - best).sign() < 0:
-            best = d
-    return best
-
-
 def points_diameter_sq(points) -> QThetaElem:
     """Max pairwise squared distance over points of any dimension."""
     if len(points) < 2:

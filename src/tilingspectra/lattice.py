@@ -1,15 +1,17 @@
 """Integer-lattice and small exact linear algebra utilities.
 
 Row-style Hermite normal form over Z gives canonical bases for the
-finitely generated groups sampled from tilings; rational Gaussian
-elimination and a generic field solver (used with Fraction or Q(theta)
-entries alike) handle the change-of-basis computations; Faddeev-LeVerrier
-produces exact characteristic polynomials of small integer matrices.
+finitely generated groups sampled from tilings; one fraction-free
+elimination over Q on integer rows gives every rank, solution and
+inverse (Q(theta) systems through their integer embedding);
+Faddeev-LeVerrier produces exact characteristic polynomials of small
+integer matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import TilingError
 from .polys import IntPoly
@@ -56,93 +58,57 @@ def hnf(rows):
     return [r for r in mat[:top]]
 
 
-def _rational_row_solve(basis, target):
-    """Solve sum c_i * basis_i = target over Q; None if inconsistent."""
-    rows = [[Fraction(v) for v in r] for r in basis]
-    t = [Fraction(v) for v in target]
-    if not rows:
-        return None if any(v != 0 for v in t) else []
-    ncols = len(rows[0])
-    # augmented transpose system: columns are basis vectors
-    aug = [[rows[i][j] for i in range(len(rows))] + [t[j]] for j in range(ncols)]
-    n, m = len(aug), len(rows)
-    piv_cols = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        aug[r] = [v / aug[r][c] for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][m] != 0:
-            return None
-    out = [Fraction(0)] * m
-    for row_idx, c in enumerate(piv_cols):
-        out[c] = aug[row_idx][m]
-    return out
+class Solution(NamedTuple):
+    """What `field_solve` finds: every solution entry is an integer
+    numerator over the one positive denominator `det`."""
+
+    rank: int
+    pivots: tuple  # pivot column of each of the first `rank` rows
+    det: int  # > 0
+    columns: list  # per right-hand side: x's numerators (free unknowns 0), or None if inconsistent
 
 
-# ---------------------------------------------------------------------------
-# generic exact field solver: works for Fraction and QThetaElem entries
+def field_solve(rows, rhs=()) -> Solution:
+    """Solve rows @ x = b over Q for each column b of `rhs`, exactly.
 
-
-def field_solve(matrix, rhs_columns, zero, one):
-    """Solve A X = B exactly over a field by Gauss-Jordan elimination.
-
-    `matrix` is a list of rows, `rhs_columns` a list of right-hand-side
-    column vectors.  Entries need +, -, *, /, and an is-zero test via
-    `_is_zero`.  Returns the list of solution columns; raises on a
-    singular matrix.
+    `rows` is a list of n integer rows of equal length m, each column of
+    `rhs` a list of n integers.  Fraction-free Gauss-Jordan elimination
+    (Bareiss): a step with pivot p replaces every other row r by
+    (p * r - r[c] * pivot row) / (previous pivot), an exact division
+    because every entry stays a minor of the augmented matrix.  At the
+    end each pivot row holds the last pivot at its pivot column, zeros at
+    the others, and the numerators of its unknown on the right.  Systems
+    over Q(theta) are solved on their integer embedding (see
+    `intlattice.embed_matrix`).
     """
-    n = len(matrix)
-    aug = [list(matrix[i]) + [col[i] for col in rhs_columns] for i in range(n)]
-    width = n + len(rhs_columns)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if not _is_zero(aug[i][c])), None)
-        if piv is None:
-            raise TilingError("singular matrix in exact solve")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = one / aug[c][c]
-        aug[c] = [v * inv for v in aug[c]]
-        for i in range(n):
-            if i != c and not _is_zero(aug[i][c]):
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [[aug[i][n + k] for i in range(n)] for k in range(len(rhs_columns))]
-
-
-def _is_zero(v) -> bool:
-    if isinstance(v, Fraction) or isinstance(v, int):
-        return v == 0
-    return v.is_zero()
-
-
-def field_rank(rows, zero, one) -> int:
-    mat = [list(r) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if not _is_zero(mat[i][c])), None)
-        if piv is None:
+    n = len(rows)
+    m = len(rows[0]) if rows else 0
+    aug = [list(map(int, r)) + [int(b[i]) for b in rhs] for i, r in enumerate(rows)]
+    det, pivots = 1, []
+    for c in range(m):
+        r = len(pivots)
+        p = next((i for i in range(r, n) if aug[i][c]), None)
+        if p is None:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = one / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not _is_zero(mat[i][c]):
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-    return r
+        aug[r], aug[p] = aug[p], aug[r]
+        top = aug[r]
+        for i in range(n):
+            if i != r:
+                f = aug[i][c]
+                aug[i] = [(top[c] * x - f * y) // det for x, y in zip(aug[i], top)]
+        det = top[c]
+        pivots.append(c)
+    rank, sign = len(pivots), (1 if det > 0 else -1)
+    columns = []
+    for k in range(m, m + len(rhs)):
+        if any(aug[i][k] for i in range(rank, n)):
+            columns.append(None)
+            continue
+        x = [0] * m
+        for i, c in enumerate(pivots):
+            x[c] = sign * aug[i][k]
+        columns.append(x)
+    return Solution(rank, tuple(pivots), abs(det), columns)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,18 +27,25 @@ from .field import NumberField, QThetaVec
 from .intlattice import (
     abs_max,
     embed,
+    embed_matrix,
+    embed_rows,
     fits,
     int_array,
     lattice_basis,
     matmul,
     pack,
+    power_rows,
     radix,
     reduce_rows,
+    rows_in,
+    span_rank,
+    theta_matrix,
     unique_keys,
     unpack,
     vectors,
+    widen,
 )
-from .lattice import field_rank, field_solve, _rational_row_solve, charpoly
+from .lattice import charpoly, field_solve
 from .ordering import value_order
 from .tiles import SubstitutionSystem
 
@@ -209,19 +218,26 @@ class ReturnModule:
         if not self.generators:
             return False
         field = self.generators[0].field
-        rows = [list(v.entries) for v in self.generators]
-        return field_rank(rows, field.zero(), field.one()) == self.dimension
+        rows = int_array(self.hnf_rows, len(self.hnf_rows[0]))
+        return span_rank(field, rows) == self.dimension
 
     def member_coordinates(self, v: QThetaVec):
         """Integer coordinates of v in the Z-span, or None."""
-        # solve over Q against the HNF rows of D*generators
-        target = [c * self.denominator for e in v.entries for c in e.coeffs]
-        coeffs = _rational_row_solve(self.hnf_rows, target)
-        if coeffs is None:
-            return None
-        if any(c.denominator != 1 for c in coeffs):
-            return None
-        return [int(c) for c in coeffs]
+        return self._coordinates(*embed_rows([v]))[0]
+
+    def _coordinates(self, rows, den: int):
+        """Per row of rows / den (integer form, see `intlattice`): its
+        integer coordinates over the generators, or None."""
+        # c @ (hnf_rows / D) = row / den  iff  c = x * D / den with
+        # x @ hnf_rows = row, which the solver finds as numerators over det
+        sol = field_solve([list(col) for col in zip(*self.hnf_rows)], rows)
+        scale, out = den * sol.det, []
+        for x in sol.columns:
+            if x is None or any(v * self.denominator % scale for v in x):
+                out.append(None)
+            else:
+                out.append([v * self.denominator // scale for v in x])
+        return out
 
     def serialize(self):
         out = {
@@ -292,27 +308,15 @@ def phi_action(module: ReturnModule, system: SubstitutionSystem):
     Raises when some theta*v_i falls outside the Z-span: the sample has
     not stabilized and the caller should deepen it.
     """
-    theta = system.theta_elem()
-    cols = []
-    for v in module.generators:
-        coords = module.member_coordinates(v.scale(theta))
-        if coords is None:
-            raise TilingError(
-                "theta*generator escapes the sampled group; deepen the return sample"
-            )
-        cols.append(coords)
-    size = module.rank
-    M = [[cols[i][k] for i in range(size)] for k in range(size)]
-    # verify theta*V = V*M exactly in the field
-    for i, v in enumerate(module.generators):
-        acc = None
-        for k in range(size):
-            if M[k][i]:
-                term = module.generators[k].scale(system.field.rational(M[k][i]))
-                acc = term if acc is None else acc + term
-        lhs = v.scale(theta)
-        if acc is None or not (lhs - acc).is_zero():
-            raise TilingError("internal defect: M does not reproduce theta*V")
+    rows = int_array(module.hnf_rows, len(module.hnf_rows[0]))
+    theta = theta_matrix(system.field, system.dimension)
+    cols = module._coordinates(matmul(rows, theta).tolist(), module.denominator)
+    if any(c is None for c in cols):
+        raise TilingError(
+            "theta*generator escapes the sampled group; deepen the return sample"
+        )
+    # the solve is exact, so sum_k M[k][i] v_k equals theta*v_i
+    M = [list(row) for row in zip(*cols)]
     module.M = M
     return M
 
@@ -331,15 +335,16 @@ def algebraic_integer_check(M, field: NumberField) -> bool:
 # control points
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlPointSet:
     points: dict  # tid -> QThetaVec
     child_index: dict  # tid -> int
     child_type: dict  # tid -> tid
     child_offset: dict  # tid -> QThetaVec
 
-    def of_tile(self, system, tile) -> QThetaVec:
-        return self.points[tile.proto] + tile.offset
+    def __post_init__(self):  # read-only views, so a shared set stays as built
+        for name in ("points", "child_index", "child_type", "child_offset"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     def serialize(self):
         return {
@@ -349,54 +354,89 @@ class ControlPointSet:
         }
 
 
+class Controls(NamedTuple):
+    """What a system's tile map fixes, built once (see `_controls`)."""
+
+    points: ControlPointSet
+    seeds: tuple  # QThetaVec e_j, or () when no differences span
+    seed_map: tuple  # (T, L): row @ T / L = coordinates over the seeds; None without seeds
+
+
 def control_points(system: SubstitutionSystem) -> ControlPointSet:
     """Solve theta*c_j = d_j + c_tau(j) exactly; unique since theta > 1."""
-    field = system.field
-    theta = field.gen()
-    order = system.order
-    m = len(order)
+    return _controls(system).points
+
+
+def _controls(system: SubstitutionSystem) -> Controls:
+    """The system's Controls, built once and published by one assignment
+    (every part is immutable, so threads that race store equal values)."""
+    controls = system._controls
+    if controls is None:
+        controls = system._controls = _build_controls(system)
+    return controls
+
+
+def _build_controls(system: SubstitutionSystem) -> Controls:
+    field, order = system.field, system.order
+    m, s, d = len(order), field.degree, system.dimension
     idx = {tid: i for i, tid in enumerate(order)}
-    tau, dvec, cidx = {}, {}, {}
-    for tid in order:
-        k, child = system.gamma(tid)
-        cidx[tid] = k
-        tau[tid] = child.proto
-        dvec[tid] = child.offset
-    # (theta*I - P) c = d, with P the 0/1 matrix of tau
+    gamma = {tid: system.gamma(tid) for tid in order}
+    # (theta*I - P) c = d, with P the 0/1 matrix of tau, one right-hand
+    # side per coordinate axis
     mat = [[field.zero() for _ in range(m)] for _ in range(m)]
-    for tid in order:
+    for tid, (_, child) in gamma.items():
         i = idx[tid]
-        mat[i][i] = mat[i][i] + theta
-        j = idx[tau[tid]]
-        mat[i][j] = mat[i][j] - field.one()
-    rhs_cols = []
-    for coord in range(system.dimension):
-        rhs_cols.append([dvec[tid][coord] for tid in order])
-    sols = field_solve(mat, rhs_cols, field.zero(), field.one())
-    points = {}
-    for i, tid in enumerate(order):
-        points[tid] = QThetaVec(tuple(sols[coord][i] for coord in range(system.dimension)))
-    cps = ControlPointSet(points=points, child_index=cidx, child_type=tau, child_offset=dvec)
-    for tid in order:
-        lhs = points[tid].scale(theta)
-        rhs = dvec[tid] + points[tau[tid]]
-        if not (lhs - rhs).is_zero():
-            raise TilingError("internal defect: control point equation violated")
-    return cps
+        mat[i][i] = mat[i][i] + field.gen()
+        mat[i][idx[child.proto]] = mat[i][idx[child.proto]] - field.one()
+    lhs, den = embed_matrix(field, mat)
+    offsets, offset_den = embed_rows([child.offset for _, child in gamma.values()])
+    rhs = [[den * row[k * s + t] for row in offsets for t in range(s)] for k in range(d)]
+    sol = field_solve(lhs, rhs)
+    if sol.rank < m * s:
+        raise TilingError("singular matrix in exact solve")
+    # coordinate t of axis k of c_i is column k, row i*s + t, over det * offset_den
+    coords = [[x[i * s + t] for x in sol.columns for t in range(s)] for i in range(m)]
+    points = reduce_rows(int_array(coords, d * s), sol.det * offset_den)
+    cps = ControlPointSet(
+        points=dict(zip(order, vectors(field, *points))),
+        child_index={tid: k for tid, (k, _) in gamma.items()},
+        child_type={tid: child.proto for tid, (_, child) in gamma.items()},
+        child_offset={tid: child.offset for tid, (_, child) in gamma.items()},
+    )
+    found = _spanning_differences(system, points)
+    if found is None:
+        return Controls(cps, (), None)
+    return Controls(cps, tuple(vectors(field, *found)), _coordinate_map(field, *found))
+
+
+def _times(arr: np.ndarray, k: int) -> np.ndarray:
+    """Exact arr * k, widened to Python ints when int64 could overflow."""
+    if arr.dtype != object and not fits(abs_max(arr) * k):
+        arr = widen(arr)
+    return arr * k
+
+
+def _control_rows(points, types, coords, den: int):
+    """(rows, L): the control points of the tiles (types, coords / den)
+    in integer form over L = lcm(D, den), given the points (rows, D) of
+    the prototiles in the system's order."""
+    rows, point_den = points
+    big = lcm(point_den, den)
+    # each product is below INT64_LIMIT = 2^62 or widened, so the sum fits
+    return _times(rows[types], big // point_den) + _times(coords, big // den), big
 
 
 def verify_control_point_dynamics(system, cps: ControlPointSet, depth: int) -> bool:
     """phi(control points of omega^depth) land on control points of
     omega^(depth+1), for every prototile."""
-    theta = system.theta_elem()
+    points = embed([cps.points[tid] for tid in system.order])
+    theta = system.lattice_form().theta
     for tid in system.order:
-        cur = system.grow(tid, depth)
-        nxt = system.grow(tid, depth + 1)
-        targets = {cps.of_tile(system, t).key() for t in nxt}
-        for t in cur:
-            img = cps.of_tile(system, t).scale(theta)
-            if img.key() not in targets:
-                return False
+        # both over one denominator: grow_lattice keeps the form's
+        here, _ = _control_rows(points, *system.grow_lattice(tid, depth))
+        there, _ = _control_rows(points, *system.grow_lattice(tid, depth + 1))
+        if not rows_in(matmul(here, theta), there):
+            return False
     return True
 
 
@@ -429,40 +469,16 @@ class KenyonBasis:
     seeds: list  # e_j control-point differences the basis came from
     denominator: int
     verified_count: int
-    _coordinate_map: tuple = dc_field(default=None, repr=False, compare=False)
-
-    def _integer_map(self):
-        """(T, L) with T an integer (d*s, d*s) matrix and L > 0 such that
-        row @ T / L holds the power-basis coordinates, over the basis, of
-        the vector whose power-basis coordinates are `row` (the Q-linear
-        map of B^-1, B having the basis vectors as columns)."""
-        if self._coordinate_map is None:
-            field = self.basis[0].field
-            d = self.basis[0].dim
-            s = field.degree
-            mat = [[self.basis[j][i] for j in range(d)] for i in range(d)]
-            unit_cols = [
-                [field.one() if i == j else field.zero() for i in range(d)]
-                for j in range(d)
-            ]
-            inv_cols = field_solve(mat, unit_cols, field.zero(), field.one())
-            powers = [field.one()]
-            for _ in range(s - 1):
-                powers.append(powers[-1] * field.gen())
-            # row (k, m): the coordinates of theta^m placed in entry k
-            self._coordinate_map = embed(
-                QThetaVec([inv_cols[k][j] * powers[m] for j in range(d)])
-                for k in range(d)
-                for m in range(s)
-            )
-        return self._coordinate_map
+    # (T, L): row @ T / L holds the power-basis coordinates, over the
+    # basis, of the vector whose power-basis coordinates are `row`
+    coordinate_map: tuple = dc_field(repr=False, compare=False)
 
     def integral_rows(self, coords, den: int):
         """Boolean mask: which rows of coords / den (integer form, see
         `intlattice`) have all coordinates over the basis in Z[theta]."""
         if len(coords) == 0:
             return np.ones(0, dtype=bool)
-        T, L = self._integer_map()
+        T, L = self.coordinate_map
         prod = matmul(coords, T)
         modulus = L * den
         if prod.dtype != object and not fits(modulus):
@@ -490,27 +506,34 @@ def kenyon_basis(
     """Basis {b_j} of R^d with all sampled returns in Z[theta]-span.
 
     Seeds e_j are the first control-point differences (canonical patch
-    order) of full rank; each module generator is expressed over the
-    seeds with Q(theta) coefficients, whose rational denominators are
-    cleared into the basis b_j = e_j / D.  Every vector sampled at
-    `depth` is then verified to have integer power-basis coordinates
-    (pass `sample` to reuse an existing enumeration at that depth).
+    order) of full rank, found once per system; the module generators'
+    coordinates over the seeds are Q(theta) elements, whose rational
+    denominators are cleared into the basis b_j = e_j / D.  Every vector
+    sampled at `depth` is then verified to have integer power-basis
+    coordinates (pass `sample` to reuse an existing enumeration at that
+    depth).
     """
     field = system.field
-    d = system.dimension
-    cps = control_points(system)
-    seeds = _spanning_differences(system, cps, d)
-    # express generators over the seeds
-    mat = [[seeds[j][i] for j in range(d)] for i in range(d)]
-    den = 1
-    for v in module.generators:
-        sols = field_solve(mat, [list(v.entries)], field.zero(), field.one())
-        for coeff in sols[0]:
-            for c in coeff.coeffs:
-                den = lcm(den, c.denominator)
+    _, seeds, seed_map = _controls(system)
+    if not seeds:
+        raise TilingError(
+            "control-point differences do not span; retry with deeper patches"
+        )
+    T, L = seed_map
+    # generator rows / D over the seeds: (rows @ T) / (L * D), whose
+    # entries' lcm denominator is the reduced denominator of all of them
+    gens = int_array(module.hnf_rows, T.shape[0])
+    den = reduce_rows(matmul(gens, T), L * module.denominator)[1]
     inv = field.rational(Fraction(1, den))
-    basis = [e.scale(inv) for e in seeds]
-    kb = KenyonBasis(basis=basis, seeds=seeds, denominator=den, verified_count=0)
+    # coordinates over e_j / den are den times those over e_j
+    g = gcd(den, L)
+    kb = KenyonBasis(
+        basis=[e.scale(inv) for e in seeds],
+        seeds=list(seeds),
+        denominator=den,
+        verified_count=0,
+        coordinate_map=(_times(T, den // g), L // g),
+    )
     if sample is None or sample.depth != depth:
         rows, rows_den = _return_rows(system, depth)
     else:
@@ -528,26 +551,40 @@ def kenyon_basis(
     return kb
 
 
-def _spanning_differences(system, cps: ControlPointSet, d: int):
-    """Greedy full-rank subset of control-point differences, canonical:
-    each patch is grown and its differences formed only while the rank
-    is still short."""
-    field = system.field
+def _coordinate_map(field: NumberField, rows, den: int):
+    """(T, L) with T an integer (w, w) matrix and L > 0 such that row @ T
+    / L holds the power-basis coordinates, over the d spanning vectors
+    rows / den, of the vector with power-basis coordinates `row`.
+
+    v = sum_j x_j e_j with x_j in Q(theta) reads, in coordinates,
+    coords(v) = (coordinates of the x_j) @ R / den, R the `power_rows` of
+    the e_j; so T / L = den * R^-1, with R^-1 from the exact solver."""
+    s = field.degree
+    R = power_rows(rows, theta_matrix(field, len(rows)), s).tolist()
+    n = len(R)
+    sol = field_solve(R, [[int(i == k) for i in range(n)] for k in range(n)])
+    T, L = reduce_rows(_times(int_array(zip(*sol.columns), n), den), sol.det)
+    T.setflags(write=False)
+    return T, L
+
+
+def _spanning_differences(system, points):
+    """(rows, den) of a greedy full-rank set of control-point differences,
+    canonical: each patch is grown, in canonical tile order, and its
+    differences to its first tile are taken only while the rank is still
+    short; None when depth 4 is not enough.  `points` is the integer form
+    (rows, den) of the prototiles' control points."""
+    field, form = system.field, system.lattice_form()
     chosen = []
     for depth in (2, 3, 4):
         for tid in system.order:
-            tiles = system.grow(tid, depth).tiles
-            base = cps.of_tile(system, tiles[0])
-            for t in tiles[1:]:
-                cand = cps.of_tile(system, t) - base
-                if cand.is_zero():
-                    continue
-                trial = chosen + [cand]
-                rows = [list(v.entries) for v in trial]
-                if field_rank(rows, field.zero(), field.one()) == len(trial):
+            types, coords, den = system.grow_lattice(tid, depth)
+            perm = value_order(field, coords, den, groups=form.rank[types])
+            # one den for every patch: grow_lattice keeps the form's
+            rows, den = _control_rows(points, types[perm], coords[perm], den)
+            for cand in rows[1:] - rows[0]:
+                if cand.any() and span_rank(field, np.array(chosen + [cand])) > len(chosen):
                     chosen.append(cand)
-                    if len(chosen) == d:
-                        return chosen
-    raise TilingError(
-        "control-point differences do not span; retry with deeper patches"
-    )
+                    if len(chosen) == system.dimension:
+                        return np.array(chosen), den
+    return None

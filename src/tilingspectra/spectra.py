@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from .errors import TilingError
 from .field import QThetaElem, QThetaVec
-from .lattice import field_rank, field_solve
+from .intlattice import embed, embed_matrix, int_array, span_rank, vectors
+from .lattice import field_solve
 from .pisot import PisotCertificate, is_pisot
 from .returns import ReturnModule, kenyon_basis, stabilized_module
 from .tiles import SubstitutionSystem
@@ -61,9 +62,7 @@ class PeriodGroup:
     def rank(self) -> int:
         if not self.generators:
             return 0
-        field = self.generators[0].field
-        rows = [list(g.entries) for g in self.generators]
-        return field_rank(rows, field.zero(), field.one())
+        return span_rank(self.generators[0].field, embed(self.generators)[0])
 
     def classification(self, dimension: int) -> str:
         r = self.rank
@@ -86,14 +85,15 @@ def dual_basis(basis) -> list:
     d = basis[0].dim
     if len(basis) != d:
         raise TilingError(f"need exactly {d} basis vectors, got {len(basis)}")
-    rows = [list(b.entries) for b in basis]
-    if field_rank(rows, field.zero(), field.one()) != d:
+    # rows @ x = e_j on the integer embedding: den * e_j has den at
+    # coordinate 0 of entry j
+    rows, den = embed_matrix(field, [b.entries for b in basis])
+    n = d * field.degree
+    units = [[den * (i == j * field.degree) for i in range(n)] for j in range(d)]
+    sol = field_solve(rows, units)
+    if sol.rank != n:
         raise TilingError("vectors do not span the space")
-    unit_cols = []
-    for j in range(d):
-        unit_cols.append([field.one() if i == j else field.zero() for i in range(d)])
-    sols = field_solve(rows, unit_cols, field.zero(), field.one())
-    return [QThetaVec(tuple(col)) for col in sols]
+    return vectors(field, int_array(sol.columns, n), sol.det)
 
 
 # ---------------------------------------------------------------------------

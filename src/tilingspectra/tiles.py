@@ -20,14 +20,10 @@ import numpy as np
 from .errors import BudgetError, TilingError, ValidationError
 from .field import NumberField, QThetaElem, QThetaVec, unchecked
 from .geometry import (
-    OUTSIDE,
     Polygon,
     coeff_sign,
     contains_points,
-    dist_sq_point_polygon,
-    dist_sq_point_segment,
     interiors_overlap,
-    point_on_segment,
     points_diameter_sq,
     polygon_contains,
 )
@@ -185,6 +181,7 @@ class SubstitutionSystem:
         self._matrix = None
         self._lattice = None  # lattice_form, an immutable LatticeForm
         self._pisot_cert = None  # spectra.system_pisot
+        self._controls = None  # returns._controls, an immutable Controls
         self._return_module = None  # spectra.system_module
 
     # -- basic views -----------------------------------------------------
@@ -624,161 +621,6 @@ def tile_frequencies(mat, tol: float = 1e-12, max_iter: int = 100000):
             return tuple(y)
         x = y
     raise TilingError("power iteration did not converge")
-
-
-# ---------------------------------------------------------------------------
-# metric diagnostics
-
-
-@dataclass
-class AgreementReport:
-    radius: float
-    metric_contribution: float
-    exact_radius_sq: object  # QThetaElem or None when the radius is 0
-
-    def as_dict(self):
-        return {
-            "radius": format(self.radius, ".15g"),
-            "metric_contribution": format(self.metric_contribution, ".15g"),
-        }
-
-
-def agreement_radius(system: SubstitutionSystem, p1: Patch, p2: Patch, g: QThetaVec):
-    """Largest r such that (p1 - g) and p2 carry the same tiles on B_r(0).
-
-    The radius is capped by the covered radius of both patches (beyond
-    the finite patches nothing can be compared).  Also reports the
-    tiling-metric contribution min(2^-1/2, max(|g|, 1/r)).
-    """
-    shifted = p1.translated(-_as_vec(system, g))
-    r1 = _covered_radius_sq(system, shifted)
-    r2 = _covered_radius_sq(system, p2)
-    if r1 is None or r2 is None:
-        raise TilingError("origin not covered by both patches")
-    keys1 = {t.key(): t for t in shifted}
-    keys2 = {t.key(): t for t in p2}
-    mismatch = None
-    for k, t in keys1.items():
-        if k not in keys2:
-            d = _tile_dist_sq_origin(system, t)
-            if mismatch is None or (d - mismatch).sign() < 0:
-                mismatch = d
-    for k, t in keys2.items():
-        if k not in keys1:
-            d = _tile_dist_sq_origin(system, t)
-            if mismatch is None or (d - mismatch).sign() < 0:
-                mismatch = d
-    r_sq = r1 if (r1 - r2).sign() <= 0 else r2
-    if mismatch is not None and (mismatch - r_sq).sign() < 0:
-        r_sq = mismatch
-    radius = float(r_sq) ** 0.5
-    gnorm = float(_as_vec(system, g).norm_sq()) ** 0.5
-    contribution = max(gnorm, (1.0 / radius) if radius > 0 else float("inf"))
-    return AgreementReport(
-        radius=radius,
-        metric_contribution=min(2.0**-0.5, contribution),
-        exact_radius_sq=r_sq,
-    )
-
-
-def _as_vec(system, g):
-    if not isinstance(g, QThetaVec):
-        g = system.field.vec(g)
-    if g.dim != system.dimension:
-        raise TilingError(
-            f"vector has dimension {g.dim}, system has {system.dimension}"
-        )
-    return g
-
-
-def _tile_dist_sq_origin(system, t: PlacedTile) -> QThetaElem:
-    origin = system.zero_vec()
-    if system.dimension == 1:
-        a, b = system.tile_interval(t)
-        if a.sign() <= 0 and b.sign() >= 0:
-            return system.field.rational(0)
-        v = a if a.sign() > 0 else -b
-        return v * v
-    return dist_sq_point_polygon(origin, system.tile_polygon(t))
-
-
-def _covered_radius_sq(system, patch: Patch):
-    """Squared distance from the origin to the uncovered region; None when
-    the origin itself is not covered."""
-    if system.dimension == 1:
-        segs = sorted((system.tile_interval(t) for t in patch), key=lambda s: s[0])
-        merged = []
-        for a, b in segs:
-            if merged and (a - merged[-1][1]).sign() <= 0:
-                lo, hi = merged[-1]
-                merged[-1] = (lo, hi if (b - hi).sign() <= 0 else b)
-            else:
-                merged.append((a, b))
-        home = next(
-            (s for s in merged if s[0].sign() <= 0 and s[1].sign() >= 0), None
-        )
-        if home is None:
-            return None
-        left, right = -home[0], home[1]
-        r = left if (left - right).sign() <= 0 else right
-        return r * r
-    return _covered_radius_sq_2d(system, patch)
-
-
-def _covered_radius_sq_2d(system, patch: Patch):
-    origin = system.zero_vec()
-    polys = [system.tile_polygon(t) for t in patch]
-    if all(p.locate(origin) == OUTSIDE for p in polys):
-        return None
-    field = system.field
-    half = field.rational(1) / 2
-    all_vertices = [v for p in polys for v in p.vertices]
-    best = None
-    for pi, poly in enumerate(polys):
-        for a, b in poly.edges():
-            ab = b - a
-            ab_sq = ab.dot(ab)
-            params = [field.rational(0), field.rational(1)]
-            for q in all_vertices:
-                if point_on_segment(q, a, b):
-                    t = (q - a).dot(ab) / ab_sq
-                    params.append(t)
-            params.sort()
-            frags = [params[0]]
-            for t in params[1:]:
-                if not (t - frags[-1]).is_zero():
-                    frags.append(t)
-            for t0, t1 in zip(frags, frags[1:]):
-                m = a + ab.scale((t0 + t1) * half)
-                if _fragment_interior(system, polys, pi, m, a, b):
-                    continue
-                p0 = a + ab.scale(t0)
-                p1 = a + ab.scale(t1)
-                d = dist_sq_point_segment(origin, p0, p1)
-                if best is None or (d - best).sign() < 0:
-                    best = d
-    return best if best is not None else field.rational(0)
-
-
-def _fragment_interior(system, polys, own_index, m, a, b) -> bool:
-    """Is edge midpoint m interior to the union? Own polygon covers the
-    left side (counterclockwise); look for coverage on the right."""
-    from .geometry import INSIDE, dot as gdot
-
-    for qi, q in enumerate(polys):
-        if qi == own_index:
-            continue
-        loc = q.locate(m)
-        if loc == INSIDE:
-            return True
-        if loc == OUTSIDE:
-            continue
-        for c, d in q.edges():
-            if point_on_segment(m, c, d):
-                direction = gdot(d - c, b - a)
-                if direction.sign() < 0:
-                    return True  # anti-parallel edge: q covers the right side
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,6 @@ from tilingspectra.geometry import (
     INSIDE,
     OUTSIDE,
     Polygon,
-    dist_sq_point_polygon,
-    dist_sq_point_segment,
     interiors_overlap,
     points_diameter_sq,
     polygon_area2,
@@ -105,14 +103,6 @@ def test_containment(K):
     # L contains its corner square but not the notch square
     assert polygon_contains(ell(K), square(K, 0, 0))
     assert not polygon_contains(ell(K), square(K, 1, 1))
-
-
-def test_distances(K):
-    p = v(K, 0, 0)
-    assert dist_sq_point_segment(p, v(K, 1, 1), v(K, 1, -1)) == K.rational(1)
-    assert dist_sq_point_segment(p, v(K, 3, 4), v(K, 5, 4)) == K.rational(25)
-    assert dist_sq_point_polygon(p, square(K, 1, 1)) == K.rational(2)
-    assert dist_sq_point_polygon(p, square(K, -1, -1, 2)) == K.rational(0)
 
 
 def test_diameter(K):

@@ -27,10 +27,12 @@ from tilingspectra.returns import (
     ReturnSample,
     _autocorrelation_rows,
     _return_rows,
+    control_points,
     enumerate_returns,
     group_basis,
     kenyon_basis,
     stabilized_module,
+    verify_control_point_dynamics,
 )
 from tilingspectra.systemfile import parse_system, serialize_system, system_from_dict
 from tilingspectra.tiles import Patch, PlacedTile
@@ -113,6 +115,7 @@ def test_object_fallback_gives_identical_output(all_systems, monkeypatch):
             kenyon_basis(fresh, stabilized_module(fresh), depth, sample).serialize(),
         )
         assert got == expected[name], name
+        assert verify_control_point_dynamics(fresh, control_points(fresh), 3), name
 
 
 def test_one_gather_substitute_in_python_ints_matches_reference(all_systems, monkeypatch):
@@ -128,6 +131,16 @@ def test_one_gather_substitute_in_python_ints_matches_reference(all_systems, mon
             patch = fresh.grow(tid, 2)
             expected = reference_patch(reference_substitute(fresh, patch.tiles))
             assert_same_patch(fresh.substitute_patch(patch), expected, (name, tid))
+
+
+def test_rows_in_checks_the_bounding_box_before_packing():
+    table = np.array([[0, 0], [1, 0]])
+    assert intlattice.rows_in(np.array([[1, 0], [0, 0]]), table)
+    # (0, 1) lies outside the box (its y is not 0) and packs to the key
+    # of (1, 0) under the box's radix
+    assert not intlattice.rows_in(np.array([[0, 1]]), table)
+    assert not intlattice.rows_in(np.array([[2, 0]]), table)
+    assert intlattice.rows_in(np.zeros((0, 2), dtype=np.int64), table)
 
 
 def test_lattice_form_is_read_only_and_shared_by_threads(chair):

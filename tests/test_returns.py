@@ -1,4 +1,8 @@
+import dataclasses
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -16,7 +20,11 @@ from tilingspectra.returns import (
     stabilized_module,
     verify_control_point_dynamics,
 )
-from tilingspectra.systemfile import serialize_system, system_from_dict
+from tilingspectra.spectra import dual_basis, eigenvalue_module
+from tilingspectra.systemfile import parse_system, serialize_system, system_from_dict
+from tilingspectra.tiles import validate
+
+TRIBONACCI = Path(__file__).resolve().parent.parent / "perfbench" / "systems" / "tribonacci.json"
 
 
 def test_depth_zero_is_empty(fib):
@@ -145,6 +153,64 @@ def test_control_point_dynamics(systems):
         assert verify_control_point_dynamics(system, cps, 3)
 
 
+def test_control_point_dynamics_rejects_a_shifted_point(systems):
+    # theta * (c + 1/7) keeps a 7 in its denominators, which no control
+    # point of the next patch has, so the moved point must be caught
+    for system in systems.values():
+        cps = control_points(system)
+        shift = system.field.vec([Fraction(1, 7)] + [0] * (system.dimension - 1))
+        for tid in system.order:
+            moved = dataclasses.replace(cps, points={**cps.points, tid: cps.points[tid] + shift})
+            assert not verify_control_point_dynamics(system, moved, 3), (system.name, tid)
+
+
+def test_control_points_and_kenyon_basis_shared_by_threads(chair):
+    """Six barrier-released threads build one fresh system's control
+    points, seeds and seed map at once; each result equals the serial
+    one, and what the system keeps cannot be changed through it."""
+    data = serialize_system(chair)
+    data["control_child"] = {"NE": 3, "NW": 1, "SW": 2}  # nonzero points
+    serial = system_from_dict(data)
+    module = stabilized_module(serial)
+
+    def run(system):
+        return (
+            control_points(system).serialize(),
+            kenyon_basis(system, module, 3).serialize(),
+        )
+
+    expected = run(serial)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            fresh = system_from_dict(data)
+            barrier = threading.Barrier(6)
+            results = [None] * 6
+
+            def work(i):
+                barrier.wait(timeout=30)
+                results[i] = run(fresh)
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert all(r == expected for r in results)
+    finally:
+        sys.setswitchinterval(old_interval)
+    cps = control_points(fresh)
+    with pytest.raises(TypeError):
+        cps.points["NE"] = cps.points["NW"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cps.points = {}
+    T, _ = fresh._controls.seed_map
+    with pytest.raises(ValueError):
+        T[0, 0] = 1
+
+
 def test_control_point_iteration_exact_for_default(systems):
     for system in systems.values():
         cps = control_points(system)
@@ -174,6 +240,102 @@ def test_kenyon_basis_grid(grid2):
     kb = kenyon_basis(grid2, module, depth=4)
     assert kb.denominator == 1
     assert len(kb.basis) == 2
+
+
+# kenyon --depth 3 output (basis, seeds, denominator) of the Q(theta)
+# Gauss-Jordan implementation the integer solver replaced
+KENYON_FROZEN = {
+    "fibonacci": ([[["1", "1"]]], [[["1", "1"]]], 1),
+    "tm": ([[["1"]]], [[["3"]]], 3),
+    "np26": ([[["0", "1/10"]]], [[["0", "1"]]], 10),
+    "chair": ([[["0"], ["2"]], [["1/2"], ["1/2"]]], [[["0"], ["4"]], [["1"], ["1"]]], 2),
+    "grid2": ([[["0"], ["1"]], [["1"], ["0"]]], [[["0"], ["1"]], [["1"], ["0"]]], 1),
+    "tribonacci": ([[["0", "1", "0"]]], [[["0", "1", "0"]]], 1),
+}
+
+
+def test_kenyon_basis_frozen(systems):
+    for name, system in {**systems, "tribonacci": parse_system(TRIBONACCI)}.items():
+        out = kenyon_basis(system, stabilized_module(system), 3).serialize()
+        assert (out["basis"], out["seeds"], out["denominator"]) == KENYON_FROZEN[name], name
+
+
+def test_member_coordinates_round_trip(systems):
+    for system in systems.values():
+        module = stabilized_module(system)
+        gens = module.generators
+        coeffs = [(-1) ** i * (i + 2) for i in range(len(gens))]
+        v = gens[0].scale(system.field.rational(coeffs[0]))
+        for c, g in zip(coeffs[1:], gens[1:]):
+            v = v + g.scale(system.field.rational(c))
+        assert module.member_coordinates(v) == coeffs, system.name
+        # half of a basis vector is in the Q-span but never in the group
+        half = system.field.rational(Fraction(1, 2))
+        assert module.member_coordinates(gens[0].scale(half)) is None
+
+
+def fibonacci_squared(control_child=None):
+    """The product of two Fibonacci tilings: rectangles with sides theta
+    and 1, a plane system over Q(golden) (d = 2, s = 2), where every
+    Q(theta) system of the library has more than one entry per block."""
+    length = {"a": ["0", "1"], "b": ["1", "0"]}  # theta and 1
+    rule = {"a": [("a", ["0", "0"]), ("b", ["0", "1"])], "b": [("a", ["0", "0"])]}
+    zero = ["0", "0"]
+    tiles, rules = [], {}
+    for x in "ab":
+        for y in "ab":
+            w, h = length[x], length[y]
+            corners = [[zero, zero], [w, zero], [w, h], [zero, h]]
+            tiles.append({"id": x + y, "support": {"type": "polygon", "vertices": corners}})
+            rules[x + y] = [
+                {"tile": cx + cy, "offset": [ox, oy]} for cx, ox in rule[x] for cy, oy in rule[y]
+            ]
+    data = {
+        "name": "fibonacci-squared",
+        "dimension": 2,
+        "theta": {"minpoly": [-1, -1, 1], "approx": "1.61803398875"},
+        "prototiles": tiles,
+        "rules": rules,
+        "control_child": control_child or {},
+    }
+    return system_from_dict(data)
+
+
+def test_plane_system_over_quadratic_field():
+    # frozen values from the Q(theta) Gauss-Jordan implementation
+    system = fibonacci_squared({"aa": 3, "ab": 1, "ba": 1})
+    assert validate(system).valid
+    K, t = system.field, system.field.gen()
+    cps = control_points(system)
+    assert cps.serialize()["points"] == {
+        "aa": [["0", "1"], ["0", "1"]],
+        "ab": [["0", "1"], ["1", "0"]],
+        "ba": [["1", "0"], ["0", "1"]],
+        "bb": [["1", "0"], ["1", "0"]],
+    }
+    for tid in system.order:
+        image = cps.points[tid].scale(t)
+        assert image == cps.child_offset[tid] + cps.points[cps.child_type[tid]]
+    assert verify_control_point_dynamics(system, cps, 3)
+    module = stabilized_module(system)
+    assert phi_action(module, system) == [[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]]
+    kb = kenyon_basis(system, module, 4)
+    assert kb.serialize() == {
+        "basis": [[["0", "0"], ["1", "1"]], [["1", "1"], ["0", "0"]]],
+        "seeds": [[["0", "0"], ["1", "1"]], [["1", "1"], ["0", "0"]]],
+        "denominator": 1,
+        "verified_returns": 168,
+    }
+    assert eigenvalue_module(system).serialize()["generators"] == [
+        [["0", "0"], ["2", "-1"]],
+        [["2", "-1"], ["0", "0"]],
+    ]
+    # a basis with theta-multiples in both entries: <b_i, b*_j> = delta_ij
+    basis = [K.vec([t, 1 + t]), K.vec([t * t, Fraction(1, 3)])]
+    dual = dual_basis(basis)
+    for i, b in enumerate(basis):
+        for j, e in enumerate(dual):
+            assert b.dot(e) == (K.one() if i == j else K.zero())
 
 
 def test_fft_and_pairwise_difference_paths_agree(grid2, chair, np26, monkeypatch):

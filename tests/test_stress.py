@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilingspectra import IntPoly, NumberField, make_algebraic, trace
-from tilingspectra.lattice import hnf, _rational_row_solve
+from tilingspectra.lattice import field_solve, hnf
 from tilingspectra.traces import dist_to_int_limit
 
 
@@ -52,8 +52,10 @@ def test_degree3_dist_engine():
 
 
 def lattice_member(basis, vec):
-    coeffs = _rational_row_solve(basis, vec)
-    return coeffs is not None and all(c.denominator == 1 for c in coeffs)
+    # coefficients c with c @ basis = vec: columns of basis are the equations
+    sol = field_solve([list(col) for col in zip(*basis)], [vec])
+    (x,) = sol.columns
+    return x is not None and all(v % sol.det == 0 for v in x)
 
 
 def test_hnf_random_lattice_properties():

@@ -7,7 +7,6 @@ from tilingspectra.corpus import load
 from tilingspectra.lattice import int_matrix_power
 from tilingspectra.systemfile import system_from_dict, serialize_system
 from tilingspectra.tiles import (
-    agreement_radius,
     flc_probe,
     is_primitive,
     perron_check,
@@ -244,51 +243,6 @@ def test_tile_frequencies_match_counts(fib, grid2):
     assert tile_frequencies(grid2.substitution_matrix()) == (1.0,)
 
 
-def test_agreement_radius_identical(fib):
-    K = fib.field
-    t = K.gen()
-    center = K.vec([-(t * t)])
-    p = fib.grow("a", 4).translated(center)  # origin now interior
-    rep = agreement_radius(fib, p, p, K.vec([0]))
-    # identical patches agree up to the covered radius around the origin
-    golden = (1 + 5**0.5) / 2
-    assert rep.radius == pytest.approx(golden**2)
-    assert rep.metric_contribution == pytest.approx(1 / golden**2)
-
-
-def test_agreement_radius_shift(fib):
-    K = fib.field
-    t = K.gen()
-    # center the origin inside tile a@0; theta+1 is a return vector
-    # carrying a@0 to a@(theta+1), so the shifted patch matches near 0
-    center = K.vec([-(t * Fraction(1, 2))])
-    p = fib.grow("a", 5).translated(center)
-    rep = agreement_radius(fib, p, p, K.vec([t + 1]))
-    golden = (1 + 5**0.5) / 2
-    assert rep.radius >= golden / 2 - 1e-12
-
-
-def test_agreement_radius_disjoint_types(tm):
-    K = tm.field
-    from tilingspectra.tiles import Patch, PlacedTile
-
-    p1 = Patch([PlacedTile("a", K.vec([Fraction(-1, 2)]))])
-    p2 = Patch([PlacedTile("b", K.vec([Fraction(-1, 2)]))])
-    rep = agreement_radius(tm, p1, p2, K.vec([0]))
-    assert rep.radius == 0
-
-
-def test_agreement_radius_2d(grid2):
-    K = grid2.field
-    from tilingspectra.tiles import Patch, PlacedTile
-
-    big = grid2.grow("sq", 2).translated(K.vec([-2, -2]))  # [-2,2]^2 around 0
-    rep = agreement_radius(grid2, big, big, K.vec([0, 0]))
-    assert rep.radius == pytest.approx(2.0)
-    shifted = agreement_radius(grid2, big, big, K.vec([1, 0]))
-    assert shifted.radius > 0  # integer shift matches the grid where it overlaps
-
-
 def test_flc_probe_fibonacci_frozen(fib):
     # R = 27/10: classes are {a}, {b}, {ab}, {ba}: pair diameters
     # theta+1 ~ 2.618 < 2.7; aa ~ 3.24 and bb never adjacent.
@@ -311,17 +265,6 @@ def test_flc_probe_grid(grid2):
     # spans sqrt(8) and any triple at least sqrt(8)
     assert rep2.count == 3
     assert rep2.stabilized
-
-
-def test_agreement_radius_chair_partial_edges(chair):
-    # chair tiles share partial edges; the boundary-fragment machinery
-    # must still find the exact covered radius
-    K = chair.field
-    big = chair.grow("NE", 2).translated(K.vec([-2, -2]))
-    rep = agreement_radius(chair, big, big, K.vec([0, 0]))
-    assert rep.radius == pytest.approx(2.0)  # distance to the outer boundary
-    shifted = agreement_radius(chair, big, big, K.vec([1, 1]))
-    assert shifted.radius == pytest.approx(1.0)  # first mismatch one unit away
 
 
 def test_flc_probe_chair(chair):
