@@ -116,16 +116,15 @@ def _emit(out, payload):
     out.write(json.dumps(payload) + "\n")
 
 
-def _parse_alpha(system, text: str) -> Alpha:
+def _vector_arg(system, text: str, label: str):
+    """The vector that --alpha or --z gives as JSON: coordinates as in
+    system files, or for short a flat list of the d entries' rationals,
+    of the s power-basis coordinates of a 1d vector, or one rational.
+    Input that is not such a vector raises SystemFileError."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SystemFileError(f"alpha is not valid JSON: {exc.msg}", "alpha") from None
-    vec = _coerce_vector(system, data, "alpha")
-    return Alpha(vec)
-
-
-def _coerce_vector(system, data, label):
+        raise SystemFileError(f"{label} is not valid JSON: {exc.msg}", label) from None
     d, s = system.dimension, system.field.degree
     if isinstance(data, (str, int)):
         data = [data]
@@ -140,6 +139,8 @@ def _coerce_vector(system, data, label):
                 f"for dimension {d}, degree {s}",
                 label,
             )
+    if not isinstance(data, list) or not all(isinstance(coord, list) for coord in data):
+        raise SystemFileError(f"expected a vector of {d} coordinates", label)
     data = [
         [str(c) if isinstance(c, int) else c for c in coord] for coord in data
     ]
@@ -282,7 +283,7 @@ def _run(args, out, err) -> int:
         )
     elif cmd == "eigen":
         if args.eigen_command == "check":
-            alpha = _parse_alpha(system, args.alpha)
+            alpha = Alpha(_vector_arg(system, args.alpha, "alpha"))
             report = eigenvalue_report(system, alpha)
             payload = {"system": system.name}
             payload.update(report.serialize())
@@ -301,9 +302,9 @@ def _run(args, out, err) -> int:
         _emit(out, payload)
         print(f"{system.name}: weak_mixing={verdict.weak_mixing}", file=err)
     elif cmd == "converge":
-        alpha = _parse_alpha(system, args.alpha)
+        alpha = Alpha(_vector_arg(system, args.alpha, "alpha"))
         if args.z:
-            z = _coerce_vector(system, json.loads(args.z), "z")
+            z = _vector_arg(system, args.z, "z")
         else:
             z = system_module(system).generators[0]
         rep = convergence_diagnostic(system, alpha, z, args.steps)

@@ -156,18 +156,8 @@ class QThetaElem:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise TilingError("element is irrational")
-        return self.coeffs[0]
-
     def is_rational_integer(self) -> bool:
         return self.is_rational() and self.coeffs[0].denominator == 1
-
-    def has_integer_coords(self) -> bool:
-        """True iff the element lies in Z[theta] (theta is an algebraic
-        integer, so integer power-basis coordinates characterize it)."""
-        return all(c.denominator == 1 for c in self.coeffs)
 
     # -- ring operations ----------------------------------------------
 
@@ -342,9 +332,6 @@ class QThetaElem:
         lo, hi = self.interval(Fraction(1, 10**25))
         return float((lo + hi) / 2)
 
-    def float_str(self, digits: int = 15) -> str:
-        return format(float(self), f".{digits}g")
-
     def serialize(self):
         """JSON form: list of 'p/q' strings in power-basis order."""
         return [str(c) for c in self.coeffs]
@@ -396,9 +383,6 @@ class QThetaVec:
         for a, b in zip(self.entries[1:], other.entries[1:]):
             acc = acc + a * b
         return acc
-
-    def norm_sq(self) -> QThetaElem:
-        return self.dot(self)
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries)

@@ -8,7 +8,7 @@ positive D per call; scaling by D > 0 changes no sign.  theta is a monic
 algebraic integer, so Z[theta] products stay integral.  A sign is the
 int's own sign in degree 1 and `QThetaElem.sign()` of the integer element
 otherwise: there is one exact sign rule.  Values that are not signs
-(areas, squared distances) are field elements.  Nothing here ever
+(areas) are field elements.  Nothing here ever
 rounds; callers wanting floats ask the field elements for views.
 """
 
@@ -323,11 +323,6 @@ class Polygon:
     def scaled(self, s) -> "Polygon":
         return Polygon(tuple(v.scale(s) for v in self.vertices), check=False)
 
-    def edges(self):
-        vs = self.vertices
-        n = len(vs)
-        return [(vs[i], vs[(i + 1) % n]) for i in range(n)]
-
     def locate(self, p: QThetaVec) -> int:
         vs, (p,) = _common(self.ints(), embed_rows([p]))
         return _locate(_ring(self.vertices[0].field), p, vs)
@@ -363,9 +358,6 @@ class Polygon:
         half = v.field.rational(1) / 2
         return (v + best).scale(half)
 
-    def key(self):
-        return tuple(v.key() for v in self.vertices)
-
 
 def _strictly_in_triangle(p, a, b, c) -> bool:
     s1 = cross(a, b, p).sign()
@@ -399,16 +391,3 @@ def interiors_overlap(p: Polygon, q: Polygon) -> bool:
 def polygon_contains(outer: Polygon, inner: Polygon) -> bool:
     """inner subset of outer (closed regions); exact."""
     return contains_points(outer.vertices[0].field, *_common(outer.ints(), inner.ints()))
-
-
-def points_diameter_sq(points) -> QThetaElem:
-    """Max pairwise squared distance over points of any dimension."""
-    if len(points) < 2:
-        return points[0].field.rational(0)
-    best = None
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            v = (points[i] - points[j]).norm_sq()
-            if best is None or (v - best).sign() > 0:
-                best = v
-    return best

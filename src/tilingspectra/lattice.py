@@ -10,7 +10,6 @@ integer matrices.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import TilingError
@@ -116,53 +115,52 @@ def field_solve(rows, rhs=()) -> Solution:
 
 def charpoly(mat) -> IntPoly:
     """Characteristic polynomial of a square integer matrix, monic,
-    ascending coefficients, by the Faddeev-LeVerrier recursion."""
+    ascending coefficients, by the Faddeev-LeVerrier recursion.  Its
+    matrices stay integral and each trace it divides by k is a multiple
+    of k, since the coefficients of an integer matrix are integers."""
     n = len(mat)
     if any(len(r) != n for r in mat):
         raise TilingError("characteristic polynomial needs a square matrix")
-    m = [[Fraction(v) for v in row] for row in mat]
-    coeffs = [Fraction(1)]  # leading first while building
-    mk = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        mk[i][i] = Fraction(1)
-    prod = None
+    m = [list(map(int, row)) for row in mat]
+    coeffs = [1]  # leading first while building
+    mk = _identity(n)
     for k in range(1, n + 1):
-        prod = _matmul(m, mk)
-        tr = sum(prod[i][i] for i in range(n))
-        ck = -tr / k
-        coeffs.append(ck)
-        mk = [row[:] for row in prod]
-        for i in range(n):
-            mk[i][i] += ck
-    ints = []
-    for c in reversed(coeffs):
-        if c.denominator != 1:
+        mk = _matmul(m, mk)
+        tr = sum(mk[i][i] for i in range(n))
+        if tr % k:
             raise TilingError("non-integer characteristic coefficient (defect)")
-        ints.append(int(c))
-    return IntPoly(ints)
+        coeffs.append(-tr // k)
+        for i in range(n):
+            mk[i][i] += coeffs[-1]
+    return IntPoly(coeffs[::-1])
 
 
-def _matmul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+def _identity(n: int):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def int_matrix_power(mat, n: int):
-    size = len(mat)
-    out = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+def _matmul(a, b, cap=None):
+    """The integer product a @ b, with every entry replaced by min(cap,
+    entry) when `cap` is given.  For nonnegative matrices that is exactly
+    min(cap, .) of the uncapped product: an entry at the cap times a
+    positive entry keeps the sum at the cap or above."""
+    cols = list(zip(*b))
+    out = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    if cap is not None:
+        out = [[min(cap, v) for v in row] for row in out]
+    return out
+
+
+def int_matrix_power(mat, n: int, cap=None):
+    """mat ** n by repeated squaring.  With `cap`, for a nonnegative
+    matrix, every entry is min(cap, entry), and the O(log n) products
+    stay on numbers below size * cap**2 whatever n is."""
+    out = _identity(len(mat))
     base = [list(map(int, r)) for r in mat]
     while n:
         if n & 1:
-            out = [
-                [sum(out[i][k] * base[k][j] for k in range(size)) for j in range(size)]
-                for i in range(size)
-            ]
-        base = [
-            [sum(base[i][k] * base[k][j] for k in range(size)) for j in range(size)]
-            for i in range(size)
-        ]
+            out = _matmul(out, base, cap)
         n >>= 1
+        if n:
+            base = _matmul(base, base, cap)
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, sub
 
 import numpy as np
 
@@ -21,10 +21,13 @@ from .errors import BudgetError, TilingError, ValidationError
 from .field import NumberField, QThetaElem, QThetaVec, unchecked
 from .geometry import (
     Polygon,
+    _common,
+    _edges,
+    _ring,
+    _touch,
     coeff_sign,
     contains_points,
     interiors_overlap,
-    points_diameter_sq,
     polygon_contains,
 )
 from .intlattice import (
@@ -38,7 +41,7 @@ from .intlattice import (
     theta_matrix,
     vectors,
 )
-from .lattice import int_matrix_power
+from .lattice import _matmul, int_matrix_power
 from .ordering import sorted_by_value, value_order
 
 DEFAULT_GROW_BUDGET = 400_000
@@ -240,12 +243,12 @@ class SubstitutionSystem:
             raise TilingError(f"unknown prototile {tid!r}")
         if n < 0:
             raise TilingError("depth must be nonnegative")
-        mat = self.substitution_matrix()
-        power = int_matrix_power(mat, n)
+        # counts capped at budget + 1: the total is exact up to the budget
+        power = int_matrix_power(self.substitution_matrix(), n, cap=budget + 1)
         j = self.order.index(tid)
-        total = sum(power[i][j] for i in range(len(self.order)))
+        total = sum(row[j] for row in power)
         if total > budget:
-            raise BudgetError(f"grow would produce {total} tiles (budget {budget})")
+            raise BudgetError(f"grow would produce more than {budget} tiles")
         form = self.lattice_form()
         types = np.array([j], dtype=np.int64)
         coords = np.zeros((1, form.theta.shape[0]), dtype=np.int64)
@@ -282,13 +285,6 @@ class SubstitutionSystem:
     def tile_polygon(self, t: PlacedTile) -> Polygon:
         sup = self.prototiles[t.proto].support
         return sup.translated(t.offset)
-
-    def support_points(self, t: PlacedTile):
-        """Vertex set of the tile support (interval endpoints in 1D)."""
-        if self.dimension == 1:
-            a, b = self.tile_interval(t)
-            return [self.field.vec([a]), self.field.vec([b])]
-        return list(self.tile_polygon(t).vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -565,14 +561,11 @@ def is_primitive(mat):
     if any(v < 0 for row in mat for v in row):
         raise TilingError("substitution matrix must be nonnegative")
     bound = m * m - 2 * m + 2 if m > 1 else 1
-    power = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    power = mat
     for k in range(1, bound + 1):
-        power = [
-            [sum(power[i][t] * mat[t][j] for t in range(m)) for j in range(m)]
-            for i in range(m)
-        ]
         if all(v > 0 for row in power for v in row):
             return True, k, bound
+        power = _matmul(power, mat)
     return False, None, bound
 
 
@@ -624,92 +617,74 @@ def tile_frequencies(mat, tol: float = 1e-12, max_iter: int = 100000):
 
 
 # ---------------------------------------------------------------------------
-# finite local complexity probe
+# finite local complexity
 
 
-@dataclass
-class FlcReport:
-    radius: object
-    depth: int
-    count: int
-    count_next: int
+def legal_pairs(system: SubstitutionSystem) -> frozenset:
+    """Every legal pair (a, b, diff): tiles of types a and b whose closed
+    supports meet, at offsets x and x + diff / lattice_form().den, in some
+    omega^n(t); diff is a tuple of ints.
 
-    @property
-    def stabilized(self) -> bool:
-        return self.count == self.count_next
-
-    def as_dict(self):
-        return {
-            "depth": self.depth,
-            "count": self.count,
-            "count_next": self.count_next,
-            "stabilized": self.stabilized,
-        }
-
-
-def flc_probe(system: SubstitutionSystem, radius, n: int, candidate_cap: int = 18):
-    """Count translation classes of subpatches of diameter < radius.
-
-    Enumerates subsets anchored at their canonically least tile; a subset
-    qualifies iff all support-point pairs stay below the radius, which
-    equals the diameter bound because supports are polygons/intervals.
+    The seeds are the touching pairs of children in every rule.  A round
+    substitutes each new pair: a's children sit at their rule offsets and
+    b's at theta * diff plus theirs, and every touching child pair whose
+    key is new is kept.  Children lie inside their parent's support, so a
+    touching pair of omega^(n+1)(t) has equal or touching parents, and the
+    closure is the union over all n and t.  It is finite iff the tilings
+    have finite local complexity (Solomyak 1997), so more than
+    DEFAULT_GROW_BUDGET pairs raise BudgetError.
     """
-    r_elem = radius if isinstance(radius, QThetaElem) else system.field.rational(radius)
-    if r_elem.sign() <= 0:
-        raise TilingError("radius must be positive")
-    count = _flc_count(system, r_elem, n, candidate_cap)
-    count_next = _flc_count(system, r_elem, n + 1, candidate_cap)
-    return FlcReport(radius=r_elem, depth=n, count=count, count_next=count_next)
+    form = system.lattice_form()
+    r = _ring(system.field)
+    # supports and keys over one denominator: the row (1,) over the keys'
+    # den comes back as (up,), so a key's diff times up is its shift
+    *shapes, ((up,),) = _common(
+        *(_support_ints(system, tid) for tid in system.order), ([(1,)], form.den)
+    )
+    theta = form.theta.tolist()
+    kinds = form.child_types.tolist()
+    offsets = form.child_offsets.tolist()
+    rules = [
+        range(first, first + count)
+        for first, count in zip(form.child_first.tolist(), form.child_count.tolist())
+    ]
+    zero = (0,) * len(theta)
+    # the pair (t, t, 0) of a tile with itself substitutes to the seeds
+    frontier = [(t, t, zero) for t in range(len(system.order))]
+    seen = set(frontier)
+    pairs = []
+    while frontier:
+        new = []
+        for a, b, diff in frontier:
+            base = [sum(x * c for x, c in zip(diff, col)) for col in zip(*theta)]
+            for i in rules[a]:
+                for j in rules[b]:
+                    d = tuple(x + y - z for x, y, z in zip(base, offsets[j], offsets[i]))
+                    key = (kinds[i], kinds[j], d)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    shift = [x * up for x in d]
+                    moved = [tuple(map(add, v, shift)) for v in shapes[kinds[j]]]
+                    if _meet(system, r, shapes[kinds[i]], moved):
+                        new.append(key)
+                        if len(pairs) + len(new) > DEFAULT_GROW_BUDGET:
+                            raise BudgetError(
+                                f"more than {DEFAULT_GROW_BUDGET} legal pairs: "
+                                "no finite local complexity?"
+                            )
+        pairs += new
+        frontier = new
+    return frozenset((system.order[a], system.order[b], d) for a, b, d in pairs)
 
 
-def _flc_count(system, r_elem, n, candidate_cap):
-    r_sq = r_elem * r_elem
-    classes = set()
-    for tid in system.order:
-        patch = system.grow(tid, n)
-        tiles = list(patch)
-        pts = [system.support_points(t) for t in tiles]
-        for i, anchor in enumerate(tiles):
-            if not _pair_ok(pts[i], pts[i], r_sq):
-                continue
-            cand = [
-                k
-                for k in range(i + 1, len(tiles))
-                if _pair_ok(pts[i], pts[k], r_sq)
-            ]
-            if len(cand) > candidate_cap:
-                raise BudgetError(
-                    f"flc probe: {len(cand)} candidate neighbors exceeds cap {candidate_cap}"
-                )
-            _enumerate_subsets(system, tiles, pts, i, cand, r_sq, classes)
-    return len(classes)
-
-
-def _pair_ok(pts_a, pts_b, r_sq) -> bool:
-    d = points_diameter_sq(pts_a + pts_b)
-    return (d - r_sq).sign() < 0
-
-
-def _enumerate_subsets(system, tiles, pts, anchor_idx, cand, r_sq, classes):
-    compat = {}
-    for x in range(len(cand)):
-        for y in range(x + 1, len(cand)):
-            compat[(x, y)] = _pair_ok(pts[cand[x]], pts[cand[y]], r_sq)
-
-    chosen = []
-
-    def emit():
-        subset = [tiles[anchor_idx]] + [tiles[cand[c]] for c in chosen]
-        base = tiles[anchor_idx].offset
-        key = tuple((t.proto, (t.offset - base).key()) for t in subset)
-        classes.add(key)
-
-    def rec(start):
-        emit()
-        for c in range(start, len(cand)):
-            if all(compat[(min(c, o), max(c, o))] for o in chosen):
-                chosen.append(c)
-                rec(c + 1)
-                chosen.pop()
-
-    rec(0)
+def _meet(system, r, p, q) -> bool:
+    """Do the closed supports with kernel points p and q meet?"""
+    if system.dimension == 1:
+        (p0, p1), (q0, q1) = p, q
+        # each interval starts at or before the other one's end
+        return all(
+            coeff_sign(system.field, list(map(sub, start, end))) <= 0
+            for start, end in ((q0, p1), (p0, q1))
+        )
+    return any(_touch(r, a, b, c, d) for a, b in _edges(p) for c, d in _edges(q))

@@ -100,3 +100,39 @@ def test_mutated_system_files_never_crash(tmp_path, name, seed, count):
     assert code in (0, 1), (code, err)
     assert "Traceback" not in err
     json.loads(out)
+
+
+# any JSON value: what --alpha and --z may be given
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**30), 10**30)
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["0", "1", "-2/7", "1/3", "1/0", "x"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=8,
+)
+# a valid alpha per system, for the commands that take a second vector
+ALPHA = {"fibonacci": '["1/3", "0"]', "grid2": '["1/2", "0"]'}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(ALPHA)),
+    st.sampled_from(["eigen check", "converge --alpha", "converge --z"]),
+    JSON_VALUES.map(json.dumps) | st.text(max_size=8),
+)
+def test_vector_arguments_never_crash(name, command, text):
+    path = str(corpus_path(name))
+    if command == "eigen check":
+        argv = ["eigen", "check", path, f"--alpha={text}"]
+    elif command == "converge --alpha":
+        argv = ["converge", path, f"--alpha={text}", "--steps", "4"]
+    else:
+        argv = ["converge", path, "--alpha", ALPHA[name], "--steps", "4", f"--z={text}"]
+    out, err = io.StringIO(), io.StringIO()
+    code = cli_dispatch(argv, stdout=out, stderr=err)
+    assert code in (0, 1), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    json.loads(out.getvalue())

@@ -9,7 +9,6 @@ from tilingspectra.geometry import (
     OUTSIDE,
     Polygon,
     interiors_overlap,
-    points_diameter_sq,
     polygon_area2,
     polygon_contains,
     segments_properly_cross,
@@ -103,11 +102,6 @@ def test_containment(K):
     # L contains its corner square but not the notch square
     assert polygon_contains(ell(K), square(K, 0, 0))
     assert not polygon_contains(ell(K), square(K, 1, 1))
-
-
-def test_diameter(K):
-    pts = [v(K, 0, 0), v(K, 1, 0), v(K, 1, 1)]
-    assert points_diameter_sq(pts) == K.rational(2)
 
 
 def test_exact_coordinates_in_golden_field():

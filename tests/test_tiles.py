@@ -1,18 +1,25 @@
-from fractions import Fraction
+from operator import add, sub
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tilingspectra import BudgetError, TilingError, ValidationError
 from tilingspectra.corpus import load
 from tilingspectra.lattice import int_matrix_power
 from tilingspectra.systemfile import system_from_dict, serialize_system
+from tilingspectra import tiles
+from tilingspectra.systemfile import parse_system
 from tilingspectra.tiles import (
-    flc_probe,
+    _support_ints,
     is_primitive,
+    legal_pairs,
     perron_check,
     tile_frequencies,
     validate,
 )
+
+TRIBONACCI = Path(__file__).resolve().parent.parent / "perfbench" / "systems" / "tribonacci.json"
 
 
 def test_substitution_matrices(fib, tm, np26, chair, grid2):
@@ -243,36 +250,142 @@ def test_tile_frequencies_match_counts(fib, grid2):
     assert tile_frequencies(grid2.substitution_matrix()) == (1.0,)
 
 
-def test_flc_probe_fibonacci_frozen(fib):
-    # R = 27/10: classes are {a}, {b}, {ab}, {ba}: pair diameters
-    # theta+1 ~ 2.618 < 2.7; aa ~ 3.24 and bb never adjacent.
-    rep = flc_probe(fib, Fraction(27, 10), 5)
-    assert rep.count == 4
-    assert rep.stabilized
-    # radius between the two lengths: only the singletons fit
-    rep2 = flc_probe(fib, Fraction(17, 10), 5)
-    assert rep2.count == 2 and rep2.stabilized
-    rep3 = flc_probe(fib, Fraction(12, 10), 5)
-    assert rep3.count == 1  # tile a alone is already longer than 1.2
+def touching_pairs(system, depth):
+    """Oracle for `legal_pairs`: the keys of all touching tile pairs of
+    omega^depth(t) over every prototile t, from every pair of tiles of
+    the patch.  Its tiles have disjoint interiors, so two of them touch
+    iff an endpoint (1d) or a vertex (2d) of one lies on the boundary of
+    the other.  2d supports are checked only on degree-1 fields, where
+    kernel points are plain integer coordinates."""
+    keys = set()
+    for tid in system.order:
+        types, coords, den = system.grow_lattice(tid, depth)
+        types, coords = types.tolist(), coords.tolist()
+        shapes = []
+        for k in system.order:
+            rows, sden = _support_ints(system, k)
+            assert den % sden == 0
+            shapes.append([[c * (den // sden) for c in row] for row in rows])
+        tiles = [
+            [tuple(map(add, v, x)) for v in shapes[k]] for k, x in zip(types, coords)
+        ]
+        for i, j in _candidates(system, tiles):
+            p, q = tiles[i], tiles[j]
+            if system.dimension == 1:
+                touch = p[1] == q[0] or q[1] == p[0]
+            else:
+                touch = any(_on_boundary(v, q) for v in p) or any(_on_boundary(v, p) for v in q)
+            if touch:
+                d = tuple(map(sub, coords[j], coords[i]))
+                keys.add((system.order[types[i]], system.order[types[j]], d))
+                keys.add((system.order[types[j]], system.order[types[i]], tuple(-x for x in d)))
+    return keys
 
 
-def test_flc_probe_grid(grid2):
-    rep = flc_probe(grid2, Fraction(15, 10), 2)
-    # only the single square fits: an adjacent pair spans sqrt(5) > 1.5
-    assert rep.count == 1 and rep.stabilized
-    rep2 = flc_probe(grid2, Fraction(23, 10), 2)
-    # single square, horizontal pair, vertical pair; the diagonal pair
-    # spans sqrt(8) and any triple at least sqrt(8)
-    assert rep2.count == 3
-    assert rep2.stabilized
+def _candidates(system, tiles):
+    """Index pairs i < j of tiles that may touch: all pairs in 1d, pairs
+    of meeting bounding boxes in 2d."""
+    n = len(tiles)
+    if system.dimension == 1:
+        return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pts = np.array(tiles, dtype=object)  # (n, vertices, 2)
+    lo, hi = pts.min(axis=1), pts.max(axis=1)
+    meet = ((lo[:, None, :] <= hi[None, :, :]) & (lo[None, :, :] <= hi[:, None, :])).all(axis=2)
+    return [(i, j) for i, j in zip(*np.nonzero(np.triu(meet, 1)))]
 
 
-def test_flc_probe_chair(chair):
-    # a single L-tile spans sqrt(8) ~ 2.83, so nothing fits below that
-    rep = flc_probe(chair, Fraction(22, 10), 2)
-    assert rep.count == 0
-    rep2 = flc_probe(chair, Fraction(29, 10), 2)
-    assert rep2.count == 4 and rep2.stabilized  # the four rotations
+def _on_boundary(p, vertices) -> bool:
+    for a, b in zip(vertices, vertices[1:] + vertices[:1]):
+        u, v = (b[0] - a[0], b[1] - a[1]), (p[0] - a[0], p[1] - a[1])
+        if u[0] * v[1] - u[1] * v[0] == 0 and 0 <= u[0] * v[0] + u[1] * v[1] <= u[0] ** 2 + u[1] ** 2:
+            return True
+    return False
+
+
+# (name, count of legal pairs, depth at which omega^depth holds them all)
+LEGAL_PAIRS = [
+    ("fibonacci", 6, 6),
+    ("tm", 8, 5),
+    ("np26", 8, 5),
+    ("chair", 76, 4),
+    ("grid2", 8, 3),
+    ("tribonacci", 10, 7),
+]
+
+
+@pytest.mark.parametrize("name, count, depth", LEGAL_PAIRS)
+def test_legal_pairs_match_touching_pairs(systems, name, count, depth):
+    system = systems[name] if name in systems else parse_system(TRIBONACCI)
+    pairs = legal_pairs(system)
+    assert len(pairs) == count
+    assert pairs == touching_pairs(system, depth)
+    # a pair seen from its other tile is a pair too
+    assert pairs == {(b, a, tuple(-x for x in d)) for a, b, d in pairs}
+
+
+def test_legal_pairs_fibonacci_frozen(fib):
+    # a has length theta, b length 1 (den 1, coordinates (1, theta)):
+    # ab, ba and aa occur, each seen from both tiles, and bb never
+    assert legal_pairs(fib) == {
+        ("a", "b", (0, 1)), ("b", "a", (0, -1)),
+        ("b", "a", (1, 0)), ("a", "b", (-1, 0)),
+        ("a", "a", (0, 1)), ("a", "a", (0, -1)),
+    }
+
+
+def test_legal_pairs_grid(grid2):
+    # the unit square meets its eight neighbours, corners included
+    d = grid2.lattice_form().den
+    steps = {(x * d, y * d) for x in (-1, 0, 1) for y in (-1, 0, 1)} - {(0, 0)}
+    assert legal_pairs(grid2) == {("sq", "sq", step) for step in steps}
+
+
+def test_legal_pairs_of_a_product_are_products(fib):
+    # 2d over Q(golden): two product tiles touch iff their x intervals and
+    # their y intervals each touch or coincide
+    same = {(t, t, (0, 0)) for t in fib.order}
+    line = legal_pairs(fib) | same
+    product = system_from_dict(fibonacci_product())
+    assert product.lattice_form().den == fib.lattice_form().den == 1
+    expected = {
+        (a + c, b + e, dx + dy) for a, b, dx in line for c, e, dy in line
+    } - {(t + u, t + u, (0, 0, 0, 0)) for t in fib.order for u in fib.order}
+    assert len(expected) == 60
+    assert legal_pairs(product) == expected
+
+
+def test_legal_pairs_with_supports_over_a_finer_denominator():
+    # a 3 x 3 grid whose square is [1/2, 3/2]^2: the rule offsets, and so
+    # the keys, are integers, over a denominator the supports do not share
+    corners = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    data = {
+        "name": "grid3-shifted",
+        "dimension": 2,
+        "theta": {"minpoly": [-3, 1], "approx": "3"},
+        "prototiles": [{"id": "sq", "support": {"type": "polygon", "vertices": [
+            [[f"{2 * x + 1}/2"], [f"{2 * y + 1}/2"]] for x, y in corners
+        ]}}],
+        "rules": {"sq": [
+            {"tile": "sq", "offset": [[str(x + 1)], [str(y + 1)]]}
+            for x in range(3) for y in range(3)
+        ]},
+    }
+    system = system_from_dict(data)
+    assert validate(system).valid and system.lattice_form().den == 1
+    steps = {(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)} - {(0, 0)}
+    assert legal_pairs(system) == {("sq", "sq", step) for step in steps}
+
+
+def test_legal_pairs_chair(chair, monkeypatch):
+    pairs = legal_pairs(chair)
+    # every rotation meets every rotation, itself included
+    assert {(a, b) for a, b, _ in pairs} == {(a, b) for a in chair.order for b in chair.order}
+    # the budget bounds the number of pairs
+    monkeypatch.setattr(tiles, "DEFAULT_GROW_BUDGET", len(pairs))
+    assert legal_pairs(chair) == pairs
+    monkeypatch.setattr(tiles, "DEFAULT_GROW_BUDGET", len(pairs) - 1)
+    with pytest.raises(BudgetError, match="legal pairs"):
+        legal_pairs(chair)
 
 
 def test_overlap_inscribed_diamond(grid2):
