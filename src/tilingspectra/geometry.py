@@ -1,15 +1,15 @@
-"""Exact computational geometry over Q(theta)^2.
+"""Exact computational geometry over Q(theta)^2, on integer coordinates.
 
-Orientation, point location, interior overlap, containment and polygon
-simplicity run on integer coordinates.  Every vertex a predicate touches
-lies in (1/D) Z[theta]^2, so a point is the tuple of 2*s ints (x's
-power-basis coordinates, then y's) of D times its value, over one common
-positive D per call; scaling by D > 0 changes no sign.  theta is a monic
-algebraic integer, so Z[theta] products stay integral.  A sign is the
-int's own sign in degree 1 and `QThetaElem.sign()` of the integer element
-otherwise: there is one exact sign rule.  Values that are not signs
-(areas) are field elements.  Nothing here ever
-rounds; callers wanting floats ask the field elements for views.
+Orientation, point location, interior overlap, containment, polygon
+simplicity and doubled areas take kernel points.  Every vertex lies in
+(1/D) Z[theta]^2, so a point is the tuple of 2*s ints (x's power-basis
+coordinates, then y's) of D times its value, over one common positive D
+per call; scaling by D > 0 changes no sign.  theta is a monic algebraic
+integer, so Z[theta] products stay integral.  A sign is the int's own
+sign in degree 1 and `QThetaElem.sign()` of the integer element
+otherwise: there is one exact sign rule.  A doubled area is its s
+power-basis coordinates over D^2.  Nothing here ever rounds.  `Polygon`
+holds a support's Q(theta) vertices and their kernel points.
 """
 
 from __future__ import annotations
@@ -21,26 +21,6 @@ from operator import add
 from .errors import TilingError
 from .field import QThetaElem, QThetaVec
 from .intlattice import embed_rows
-
-
-def cross(o: QThetaVec, a: QThetaVec, b: QThetaVec) -> QThetaElem:
-    """(a - o) x (b - o), the doubled signed triangle area."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def dot(a: QThetaVec, b: QThetaVec) -> QThetaElem:
-    return a[0] * b[0] + a[1] * b[1]
-
-
-def polygon_area2(vertices) -> QThetaElem:
-    """Twice the signed area (positive for counterclockwise order)."""
-    acc = None
-    n = len(vertices)
-    for i in range(n):
-        a, b = vertices[i], vertices[(i + 1) % n]
-        term = a[0] * b[1] - a[1] * b[0]
-        acc = term if acc is None else acc + term
-    return acc
 
 
 def coeff_sign(field, coeffs) -> int:
@@ -86,12 +66,14 @@ class _Ring:
     def sign(self, e) -> int:
         return coeff_sign(self.field, e)
 
+    def wedge(self, u, v):
+        """u.x * v.y - u.y * v.x."""
+        s = self.s
+        return [x - y for x, y in zip(self.mul(u[:s], v[s:]), self.mul(u[s:], v[:s]))]
+
     def orient(self, o, a, b) -> int:
         """Sign of (a - o) x (b - o)."""
-        s = self.s
-        u = [x - y for x, y in zip(a, o)]
-        v = [x - y for x, y in zip(b, o)]
-        return self.sign([x - y for x, y in zip(self.mul(u[:s], v[s:]), self.mul(u[s:], v[:s]))])
+        return self.sign(self.wedge([x - y for x, y in zip(a, o)], [x - y for x, y in zip(b, o)]))
 
     def along(self, p, a, b):
         """(p - a) . (b - a)."""
@@ -120,6 +102,9 @@ class _Ring1(_Ring):
     def sign(self, e) -> int:
         return (e > 0) - (e < 0)
 
+    def wedge(self, u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
     def orient(self, o, a, b) -> int:
         v = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
         return (v > 0) - (v < 0)
@@ -138,16 +123,10 @@ def _ring(field) -> _Ring:
     return _Ring1(field) if field.degree == 1 else _Ring(field)
 
 
-def _kernel_points(vecs):
-    """(ring, points) of QThetaVecs over their common denominator."""
-    rows, _ = embed_rows(vecs)
-    return _ring(vecs[0].field), rows
-
-
 def _common(*forms):
-    """The point lists of (rows, den) forms, rescaled to one denominator."""
+    """(den, point lists): the (rows, den) forms rescaled to their lcm den."""
     den = lcm(*(d for _, d in forms))
-    return [
+    return den, [
         rows if d == den else [tuple(c * (den // d) for c in row) for row in rows]
         for rows, d in forms
     ]
@@ -218,9 +197,40 @@ def _same_cycle(p, q) -> bool:
     return len(p) == len(q) and any(p == q[k:] + q[:k] for k in range(len(q)))
 
 
-def contains_points(field, outer, inner) -> bool:
-    """`polygon_contains` on the vertices of two simple polygons given as
-    kernel points over one denominator."""
+def area2(field, vs) -> tuple:
+    """Twice the signed area (positive for counterclockwise order) of the
+    polygon with kernel points vs, as its s power-basis coordinates over
+    the square of the points' denominator."""
+    r = _ring(field)
+    terms = [r.wedge(a, b) for a, b in _edges(vs)]
+    if field.degree == 1:
+        return (sum(terms),)
+    return tuple(map(sum, zip(*terms)))
+
+
+def interiors_overlap(field, p, q) -> bool:
+    """Whether two simple polygons, given as kernel points over one
+    denominator, share interior points; exact."""
+    r = _ring(field)
+    if _same_cycle(p, q):
+        return True
+    for a, b in _edges(p):
+        for c, d in _edges(q):
+            if _properly_cross(r, a, b, c, d):
+                return True
+    if any(_locate(r, v, q) == INSIDE for v in p) or any(_locate(r, v, p) == INSIDE for v in q):
+        return True
+    for poly, other in ((p, q), (q, p)):
+        other2 = _doubled(other)
+        for a, b in _edges(poly):
+            if any(_locate(r, m, other2) == INSIDE for m in _midpoints(r, a, b, other)):
+                return True
+    return False
+
+
+def polygon_contains(field, outer, inner) -> bool:
+    """inner subset of outer (closed regions) for two simple polygons
+    given as kernel points over one denominator; exact."""
     r = _ring(field)
     if any(_locate(r, v, outer) == OUTSIDE for v in inner):
         return False
@@ -235,33 +245,6 @@ def contains_points(field, outer, inner) -> bool:
         if any(_locate(r, m, inner2) == INSIDE for m in _midpoints(r, a, b, inner)):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# public predicates on QThetaVecs and Polygons
-
-
-def point_on_segment(p: QThetaVec, a: QThetaVec, b: QThetaVec) -> bool:
-    r, (p, a, b) = _kernel_points((p, a, b))
-    return _on_segment(r, p, a, b)
-
-
-def segments_properly_cross(a, b, c, d) -> bool:
-    """Strict interior crossing of segments ab and cd."""
-    r, pts = _kernel_points((a, b, c, d))
-    return _properly_cross(r, *pts)
-
-
-def segments_touch(a, b, c, d) -> bool:
-    """Any intersection at all (shared endpoints, T-junctions, overlap)."""
-    r, pts = _kernel_points((a, b, c, d))
-    return _touch(r, *pts)
-
-
-def point_in_polygon(p: QThetaVec, vertices) -> int:
-    """Exact location: INSIDE, BOUNDARY or OUTSIDE of a simple polygon."""
-    r, pts = _kernel_points((p, *vertices))
-    return _locate(r, pts[0], pts[1:])
 
 
 class Polygon:
@@ -289,13 +272,13 @@ class Polygon:
 
     def validate(self):
         vs, _ = self.ints()
-        r = _ring(self.vertices[0].field)
+        field = self.vertices[0].field
+        r = _ring(field)
         n = len(vs)
         for i in range(n):
             if vs[i] == vs[(i + 1) % n]:
                 raise TilingError("repeated consecutive polygon vertex")
-        area2 = polygon_area2(self.vertices)
-        if area2.sign() <= 0:
+        if coeff_sign(field, area2(field, vs)) <= 0:
             raise TilingError("polygon vertices must be counterclockwise with positive area")
         for i in range(n):
             a, b = vs[i], vs[(i + 1) % n]
@@ -314,80 +297,5 @@ class Polygon:
                 if _touch(r, a, b, c, d):
                     raise TilingError("polygon is not simple: non-adjacent edges intersect")
 
-    def area2(self) -> QThetaElem:
-        return polygon_area2(self.vertices)
-
     def translated(self, g: QThetaVec) -> "Polygon":
         return Polygon(tuple(v + g for v in self.vertices), check=False)
-
-    def scaled(self, s) -> "Polygon":
-        return Polygon(tuple(v.scale(s) for v in self.vertices), check=False)
-
-    def locate(self, p: QThetaVec) -> int:
-        vs, (p,) = _common(self.ints(), embed_rows([p]))
-        return _locate(_ring(self.vertices[0].field), p, vs)
-
-    def interior_point(self) -> QThetaVec:
-        """Some exact interior point (lowest-lex vertex construction)."""
-        vs = self.vertices
-        n = len(vs)
-        vi = min(range(n), key=vs.__getitem__)
-        v = vs[vi]
-        a, b = vs[(vi - 1) % n], vs[(vi + 1) % n]
-        inside = []
-        for j, q in enumerate(vs):
-            if j in (vi, (vi - 1) % n, (vi + 1) % n):
-                continue
-            if _strictly_in_triangle(q, a, v, b):
-                inside.append(q)
-        if not inside:
-            half = v.field.rational(1) / 3
-            centroid = (a + v + b).scale(half)
-            return centroid
-        # farthest such vertex from the line ab, by exact comparison
-        best = inside[0]
-        best_d = cross(a, b, best)
-        if best_d.sign() < 0:
-            best_d = -best_d
-        for q in inside[1:]:
-            d = cross(a, b, q)
-            if d.sign() < 0:
-                d = -d
-            if (d - best_d).sign() > 0:
-                best, best_d = q, d
-        half = v.field.rational(1) / 2
-        return (v + best).scale(half)
-
-
-def _strictly_in_triangle(p, a, b, c) -> bool:
-    s1 = cross(a, b, p).sign()
-    s2 = cross(b, c, p).sign()
-    s3 = cross(c, a, p).sign()
-    if 0 in (s1, s2, s3):
-        return False
-    return s1 == s2 == s3
-
-
-def interiors_overlap(p: Polygon, q: Polygon) -> bool:
-    """Whether two simple polygons share interior points; exact."""
-    r = _ring(p.vertices[0].field)
-    p, q = _common(p.ints(), q.ints())
-    if _same_cycle(p, q):
-        return True
-    for a, b in _edges(p):
-        for c, d in _edges(q):
-            if _properly_cross(r, a, b, c, d):
-                return True
-    if any(_locate(r, v, q) == INSIDE for v in p) or any(_locate(r, v, p) == INSIDE for v in q):
-        return True
-    for poly, other in ((p, q), (q, p)):
-        other2 = _doubled(other)
-        for a, b in _edges(poly):
-            if any(_locate(r, m, other2) == INSIDE for m in _midpoints(r, a, b, other)):
-                return True
-    return False
-
-
-def polygon_contains(outer: Polygon, inner: Polygon) -> bool:
-    """inner subset of outer (closed regions); exact."""
-    return contains_points(outer.vertices[0].field, *_common(outer.ints(), inner.ints()))

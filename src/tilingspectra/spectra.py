@@ -43,9 +43,6 @@ class Alpha:
     def pairing(self, v: QThetaVec) -> QThetaElem:
         return self.coords.dot(v)
 
-    def float_view(self):
-        return [float(e) for e in self.coords.entries]
-
     def serialize(self):
         return self.coords.serialize()
 

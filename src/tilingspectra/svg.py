@@ -8,6 +8,7 @@ nothing depends on dict iteration or timestamps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import TilingError
@@ -44,6 +45,8 @@ def render_svg(system: SubstitutionSystem, patch: Patch, spec: RenderSpec) -> by
     """Write the patch as SVG 1.1; returns the exact bytes written."""
     if system.dimension not in (1, 2):
         raise TilingError("rendering supports 1d and 2d patches only")
+    if not (math.isfinite(spec.scale) and spec.scale > 0):
+        raise TilingError(f"scale must be finite and positive, got {spec.scale}")
     body = _render_body(system, patch, spec)
     data = body.encode("utf-8")
     try:

@@ -4,15 +4,17 @@ A substitution system carries prototiles (interval or polygon supports
 with Q(theta) coordinates), one rule patch per prototile describing the
 subdivision of the dilated support, an optional tile-map child choice,
 and optionally declared period generators.  Validation checks the
-subdivision identity exactly: measures, interior disjointness,
-containment, and (in one dimension) a gap-free endpoint chain.
+subdivision identity exactly on integer kernel points (see `geometry`):
+measures, interior disjointness, containment, and (in one dimension) a
+gap-free endpoint chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cmp_to_key
+from itertools import combinations
 from operator import add, sub
 
 import numpy as np
@@ -25,8 +27,8 @@ from .geometry import (
     _edges,
     _ring,
     _touch,
+    area2,
     coeff_sign,
-    contains_points,
     interiors_overlap,
     polygon_contains,
 )
@@ -36,7 +38,6 @@ from .intlattice import (
     embed_rows,
     int_array,
     lattice_form,
-    matmul,
     substitute,
     theta_matrix,
     vectors,
@@ -70,11 +71,6 @@ class Prototile:
     @property
     def dimension(self) -> int:
         return 1 if isinstance(self.support, Interval) else 2
-
-    def volume(self) -> QThetaElem:
-        if isinstance(self.support, Interval):
-            return self.support.length
-        return self.support.area2() * Fraction(1, 2)
 
 
 class PlacedTile:
@@ -198,9 +194,6 @@ class SubstitutionSystem:
 
     def zero_vec(self) -> QThetaVec:
         return self.field.vec([0] * self.dimension)
-
-    def volumes(self):
-        return [self.prototiles[t].volume() for t in self.order]
 
     def gamma(self, tid: str):
         """(child index, child tile) picked by the tile map for `tid`."""
@@ -331,46 +324,45 @@ class ValidationReport:
 
 
 def validate(system: SubstitutionSystem) -> ValidationReport:
-    """Exact check of the subdivision identity and declared periods."""
+    """Exact check of the subdivision identity and declared periods, on
+    the kernel points of the supports and the rule offsets."""
     rep = ValidationReport(system.name)
-    theta = system.theta_elem()
 
     if system.theta.cmp_rational(1) <= 0:
         rep.add("expansion", False, "theta must exceed 1")
         return rep
     rep.add("expansion", True, "theta > 1")
 
-    thetad = theta
-    for _ in range(system.dimension - 1):
-        thetad = thetad * theta
-
-    for tid in system.order:
-        proto = system.prototiles[tid]
+    form = system.lattice_form()
+    shapes, den = _shapes(system)
+    vols, grown, vden = _volumes(system, shapes, den)
+    theta = form.theta.tolist()
+    up = den // form.den
+    offsets = [tuple(c * up for c in row) for row in form.child_offsets.tolist()]
+    kinds = form.child_types.tolist()
+    for j, (tid, first) in enumerate(zip(system.order, form.child_first.tolist())):
         children = system.rules[tid]
         if not children:
             rep.add(f"rule[{tid}].nonempty", False, "empty rule patch")
             continue
-
-        total = None
-        for ch in children:
-            v = system.prototiles[ch.proto].volume()
-            total = v if total is None else total + v
-        expected = thetad * proto.volume()
-        ok = (total - expected).is_zero()
+        rows = range(first, first + len(children))
+        total = tuple(map(sum, zip(*(vols[kinds[i]] for i in rows))))
+        ok = total == grown[j]
         rep.add(
             f"rule[{tid}].measure",
             ok,
             "children measure equals theta^d * vol" if ok else
-            f"children measure {total.serialize()} != theta^d*vol {expected.serialize()}",
+            f"children measure {_serialize(system, total, vden)} != "
+            f"theta^d*vol {_serialize(system, grown[j], vden)}",
         )
-
-        if system.dimension == 1:
-            _validate_rule_1d(system, rep, tid, proto, children, theta)
-        else:
-            _validate_rule_2d(system, rep, tid, proto, children, theta)
+        kids = [
+            (ch, [tuple(map(add, v, offsets[i])) for v in shapes[kinds[i]]])
+            for ch, i in zip(children, rows)
+        ]
+        _validate_rule(system, rep, tid, kids, [_rowmul(v, theta) for v in shapes[j]])
 
     if system.declared_periods:
-        _validate_periods(system, rep)
+        _validate_periods(system, rep, shapes, den)
 
     seeds = [tid for tid in system.order
              if any(ch.proto == tid and ch.offset.is_zero() for ch in system.rules[tid])]
@@ -383,115 +375,101 @@ def validate(system: SubstitutionSystem) -> ValidationReport:
     return rep
 
 
-def _validate_rule_1d(system, rep, tid, proto, children, theta):
-    segs = []
-    for ch in children:
-        start = ch.offset[0]
-        length = system.prototiles[ch.proto].support.length
-        segs.append((start, start + length, ch))
-    end_expected = theta * proto.support.length
-
-    ok = True
+def _validate_rule(system, rep, tid, kids, region):
+    """Disjointness, containment and, in 1d, the endpoint chain of one
+    rule: kids are (child, kernel points) pairs and region is the dilated
+    support, all over one denominator."""
     detail = ""
-    for i in range(len(segs)):
-        for k in range(i + 1, len(segs)):
-            a0, a1, ca = segs[i]
-            b0, b1, cb = segs[k]
-            if (a1 - b0).sign() > 0 and (b1 - a0).sign() > 0:
-                ok = False
-                detail = f"children {ca.proto}@{ca.offset.serialize()} and {cb.proto}@{cb.offset.serialize()} overlap"
-                break
-        if not ok:
+    for (ca, p), (cb, q) in combinations(kids, 2):
+        if _overlap(system, p, q):
+            detail = (
+                f"children {ca.proto}@{ca.offset.serialize()} and "
+                f"{cb.proto}@{cb.offset.serialize()} overlap"
+            )
             break
-    rep.add(f"rule[{tid}].disjoint", ok, detail)
+    rep.add(f"rule[{tid}].disjoint", not detail, detail)
 
-    ok = True
-    detail = ""
-    for a0, a1, ch in segs:
-        if a0.sign() < 0 or (a1 - end_expected).sign() > 0:
-            ok = False
-            detail = f"child {ch.proto}@{ch.offset.serialize()} outside inflated support"
-            break
-    rep.add(f"rule[{tid}].containment", ok, detail)
-
-    # gap-free chain of sorted endpoints
-    segs_sorted = sorted(segs, key=lambda s: s[0])
-    ok = segs_sorted[0][0].is_zero()
-    detail = "" if ok else "first child does not start at 0"
-    if ok:
-        for (a0, a1, _), (b0, b1, _) in zip(segs_sorted, segs_sorted[1:]):
-            if not (b0 - a1).is_zero():
-                ok = False
-                detail = "gap or overlap in the endpoint chain"
-                break
-    if ok and not (segs_sorted[-1][1] - end_expected).is_zero():
-        ok = False
-        detail = "last child does not reach theta * length"
-    rep.add(f"rule[{tid}].chain", ok, detail)
+    detail = next(
+        (f"child {ch.proto}@{ch.offset.serialize()} outside inflated support"
+         for ch, pts in kids if not _inside(system, region, pts)),
+        "",
+    )
+    rep.add(f"rule[{tid}].containment", not detail, detail)
+    # in 2d gap-freeness follows from exact measure + disjointness + containment
+    if system.dimension == 1:
+        rep.add(f"rule[{tid}].chain", *_chain(system.field, [pts for _, pts in kids], region))
 
 
-def _validate_rule_2d(system, rep, tid, proto, children, theta):
-    inflated = proto.support.scaled(theta)
-    polys = [(ch, system.tile_polygon(ch)) for ch in children]
-
-    ok = True
-    detail = ""
-    for i in range(len(polys)):
-        for k in range(i + 1, len(polys)):
-            if interiors_overlap(polys[i][1], polys[k][1]):
-                ok = False
-                detail = (
-                    f"children {polys[i][0].proto}@{polys[i][0].offset.serialize()} and "
-                    f"{polys[k][0].proto}@{polys[k][0].offset.serialize()} overlap"
-                )
-                break
-        if not ok:
-            break
-    rep.add(f"rule[{tid}].disjoint", ok, detail)
-
-    ok = True
-    detail = ""
-    for ch, poly in polys:
-        if not polygon_contains(inflated, poly):
-            ok = False
-            detail = f"child {ch.proto}@{ch.offset.serialize()} outside inflated support"
-            break
-    rep.add(f"rule[{tid}].containment", ok, detail)
-    # gap-freeness in 2D follows from exact measure + disjointness + containment
+def _chain(field, segs, region):
+    """(ok, detail): do the segments, sorted by exact start, cover the
+    region end to end without gaps?"""
+    order = cmp_to_key(lambda p, q: coeff_sign(field, list(map(sub, p[0], q[0]))))
+    segs = sorted(segs, key=order)
+    (start, end) = region
+    if segs[0][0] != start:
+        return False, "first child does not start at 0"
+    if any(a[1] != b[0] for a, b in zip(segs, segs[1:])):
+        return False, "gap or overlap in the endpoint chain"
+    if segs[-1][1] != end:
+        return False, "last child does not reach theta * length"
+    return True, ""
 
 
-def _validate_periods(system, rep, depth: int = 3):
+def _volumes(system, shapes, den):
+    """(vols, grown, vden): per prototile its measure (the length in 1d,
+    the doubled area in 2d) and theta^d times it, as power-basis
+    coordinates over vden, from the kernel points over den."""
+    field = system.field
+    if system.dimension == 1:
+        vols, vden = [tuple(map(sub, b, a)) for a, b in shapes], den
+    else:
+        vols, vden = [area2(field, vs) for vs in shapes], 2 * den * den
+    companion = theta_matrix(field, 1).tolist()
+    grown = vols
+    for _ in range(system.dimension):
+        grown = [_rowmul(v, companion) for v in grown]
+    return vols, grown, vden
+
+
+def _serialize(system, coeffs, den):
+    """JSON form of the field element with coordinates coeffs / den."""
+    return QThetaElem(system.field, tuple(Fraction(c, den) for c in coeffs)).serialize()
+
+
+def _rowmul(row, mat):
+    """The integer row vector row @ mat, mat given by its rows."""
+    return tuple(sum(x * c for x, c in zip(row, col)) for col in zip(*mat))
+
+
+def _validate_periods(system, rep, shapes, den, depth: int = 3):
     for g in system.declared_periods:
         if g.is_zero():
             rep.add("periods", False, "zero vector declared as a period")
             return
     field = system.field
     width = system.dimension * field.degree
-    theta = theta_matrix(field, system.dimension)
     form = system.lattice_form()
+    theta = form.theta.tolist()
     grown = {}  # tid -> grow_lattice(tid, depth), grown when first checked
-    supports = [_support_ints(system, tid) for tid in system.order]
-    regions = []  # theta^depth * support, over the support's denominator
-    for rows, _ in supports:
-        region = int_array(rows, width)
+    regions = []  # theta^depth * support, over den
+    for region in shapes:
         for _ in range(depth):
-            region = matmul(region, theta)
-        regions.append(region.tolist())
+            region = [_rowmul(v, theta) for v in region]
+        regions.append(region)
     for g in system.declared_periods:
         ok = True
         detail = ""
         matched = 0
-        # every point below is over the one denominator `big`
-        (shift,), gden = embed_rows([g])
-        big = lcm(gden, form.den, *(d for _, d in supports))
-        (shift,) = _times([shift], big // gden)
-        protos = [_times(rows, big // d) for rows, d in supports]
-        for tid, region, (_, rden) in zip(system.order, regions, supports):
+        period = embed_rows([g])
+        for tid, region in zip(system.order, regions):
             if tid not in grown:
                 grown[tid] = system.grow_lattice(tid, depth)
-            types, coords, den = grown[tid]
-            outer = _times(region, big // rden)
-            offsets = _times(coords.tolist(), big // den)
+            types, coords, cden = grown[tid]
+            # every point below is over the one denominator `big`
+            big, ((shift,), outer, offsets, *protos) = _common(
+                period, (region, den), (list(map(tuple, coords.tolist())), cden),
+                *((rows, den) for rows in shapes),
+            )
             present = set(zip(types.tolist(), offsets))
             bad = []  # (index, translated offset) of disagreeing tiles
             for i, (k, offset) in enumerate(zip(types.tolist(), offsets)):
@@ -526,6 +504,16 @@ def _validate_periods(system, rep, depth: int = 3):
         rep.add(f"period[{g.serialize()}]", ok, detail or f"{matched} tiles matched")
 
 
+def _shapes(system):
+    """(shapes, den): the prototile supports as kernel points over one
+    denominator den, a multiple of lattice_form().den, in system.order."""
+    den, shapes = _common(
+        *(_support_ints(system, tid) for tid in system.order),
+        ([], system.lattice_form().den),
+    )
+    return shapes[:-1], den
+
+
 def _support_ints(system, tid):
     """(rows, den): the support of `tid` as kernel points, the polygon's
     vertices or the interval's two endpoints."""
@@ -535,10 +523,6 @@ def _support_ints(system, tid):
     return sup.ints()
 
 
-def _times(rows, factor):
-    return [tuple(c * factor for c in row) for row in rows]
-
-
 def _inside(system, region, tile) -> bool:
     """Is the tile support inside the region (both as kernel points)?"""
     if system.dimension == 1:
@@ -546,7 +530,7 @@ def _inside(system, region, tile) -> bool:
         return coeff_sign(system.field, a) >= 0 and coeff_sign(
             system.field, [x - y for x, y in zip(end, b)]
         ) >= 0
-    return contains_points(system.field, region, tile)
+    return polygon_contains(system.field, region, tile)
 
 
 # ---------------------------------------------------------------------------
@@ -572,22 +556,13 @@ def is_primitive(mat):
 def perron_check(system: SubstitutionSystem):
     """Exact left-eigenvector identity of the volume vector, plus a
     floating Perron eigenvalue for cross-reading."""
-    import numpy as np
-
     mat = system.substitution_matrix()
-    vols = system.volumes()
-    theta = system.theta_elem()
-    thetad = theta
-    for _ in range(system.dimension - 1):
-        thetad = thetad * theta
+    vols, grown, _ = _volumes(system, *_shapes(system))
     for j, tid in enumerate(system.order):
-        acc = None
-        for i in range(len(system.order)):
-            if mat[i][j]:
-                term = vols[i] * mat[i][j]
-                acc = term if acc is None else acc + term
-        expected = thetad * vols[j]
-        if acc is None or not (acc - expected).is_zero():
+        acc = tuple(
+            sum(mat[i][j] * v[k] for i, v in enumerate(vols)) for k in range(len(grown[j]))
+        )
+        if acc != grown[j]:
             raise TilingError(
                 f"volume vector is not an exact theta^d left eigenvector at column {tid!r}"
             )
@@ -596,7 +571,7 @@ def perron_check(system: SubstitutionSystem):
     return {
         "exact_left_eigenvector": True,
         "perron_eigenvalue_float": perron,
-        "theta_power_d_float": float(thetad),
+        "theta_power_d_float": float(system.theta_elem() ** system.dimension),
     }
 
 
@@ -636,11 +611,9 @@ def legal_pairs(system: SubstitutionSystem) -> frozenset:
     """
     form = system.lattice_form()
     r = _ring(system.field)
-    # supports and keys over one denominator: the row (1,) over the keys'
-    # den comes back as (up,), so a key's diff times up is its shift
-    *shapes, ((up,),) = _common(
-        *(_support_ints(system, tid) for tid in system.order), ([(1,)], form.den)
-    )
+    # a key's diff is over form.den, so diff times up is its shift
+    shapes, den = _shapes(system)
+    up = den // form.den
     theta = form.theta.tolist()
     kinds = form.child_types.tolist()
     offsets = form.child_offsets.tolist()
@@ -656,7 +629,7 @@ def legal_pairs(system: SubstitutionSystem) -> frozenset:
     while frontier:
         new = []
         for a, b, diff in frontier:
-            base = [sum(x * c for x, c in zip(diff, col)) for col in zip(*theta)]
+            base = _rowmul(diff, theta)
             for i in rules[a]:
                 for j in rules[b]:
                     d = tuple(x + y - z for x, y, z in zip(base, offsets[j], offsets[i]))
@@ -688,3 +661,15 @@ def _meet(system, r, p, q) -> bool:
             for start, end in ((q0, p1), (p0, q1))
         )
     return any(_touch(r, a, b, c, d) for a, b in _edges(p) for c, d in _edges(q))
+
+
+def _overlap(system, p, q) -> bool:
+    """Do the supports with kernel points p and q share interior points?"""
+    if system.dimension == 1:
+        (p0, p1), (q0, q1) = p, q
+        # each interval starts before the other one's end
+        return all(
+            coeff_sign(system.field, list(map(sub, start, end))) < 0
+            for start, end in ((q0, p1), (p0, q1))
+        )
+    return interiors_overlap(system.field, p, q)

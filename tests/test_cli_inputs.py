@@ -5,6 +5,7 @@ import io
 import json
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -136,3 +137,14 @@ def test_vector_arguments_never_crash(name, command, text):
     assert code in (0, 1), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("scale", ["0", "-5", "nan", "inf"])
+def test_render_rejects_bad_scale(tmp_path, scale):
+    target = tmp_path / "out.svg"
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["render", str(corpus_path("chair")), "--tile", "NE", "--depth", "1",
+            "--out", str(target), "--scale", scale]
+    assert cli_dispatch(argv, stdout=out, stderr=err) == 1
+    assert "scale must be finite and positive" in json.loads(out.getvalue())["error"]
+    assert not target.exists()

@@ -8,11 +8,15 @@ from tilingspectra.geometry import (
     INSIDE,
     OUTSIDE,
     Polygon,
+    _common,
+    _locate,
+    _properly_cross,
+    _ring,
+    area2,
     interiors_overlap,
-    polygon_area2,
     polygon_contains,
-    segments_properly_cross,
 )
+from tilingspectra.intlattice import embed_rows
 
 
 @pytest.fixture(scope="module")
@@ -41,9 +45,27 @@ def ell(K):
     return Polygon([v(K, x, y) for x, y in pts])
 
 
+def kernel(*polys):
+    """The polygons' vertices as kernel points over one denominator."""
+    return _common(*(p.ints() for p in polys))[1]
+
+
+def locate(poly, p):
+    vs, (p,) = _common(poly.ints(), embed_rows([p]))[1]
+    return _locate(_ring(poly.vertices[0].field), p, vs)
+
+
+def overlap(p, q):
+    return interiors_overlap(p.vertices[0].field, *kernel(p, q))
+
+
+def contains(outer, inner):
+    return polygon_contains(outer.vertices[0].field, *kernel(outer, inner))
+
+
 def test_area_and_orientation(K):
-    assert polygon_area2(square(K, 0, 0).vertices) == K.rational(2)
-    assert ell(K).area2() == K.rational(6)
+    assert area2(K, square(K, 0, 0).ints()[0]) == (2,)
+    assert area2(K, ell(K).ints()[0]) == (6,)
     with pytest.raises(TilingError):
         Polygon(list(reversed(square(K, 0, 0).vertices)))  # clockwise
 
@@ -55,33 +77,32 @@ def test_simplicity_rejects_bowtie(K):
 
 def test_point_location(K):
     p = ell(K)
-    assert p.locate(v(K, Fraction(1, 2), Fraction(1, 2))) == INSIDE
-    assert p.locate(v(K, Fraction(3, 2), Fraction(3, 2))) == OUTSIDE
-    assert p.locate(v(K, 1, 1)) == BOUNDARY
-    assert p.locate(v(K, 0, 1)) == BOUNDARY
-    assert p.locate(v(K, 3, 0)) == OUTSIDE
+    assert locate(p, v(K, Fraction(1, 2), Fraction(1, 2))) == INSIDE
+    assert locate(p, v(K, Fraction(3, 2), Fraction(3, 2))) == OUTSIDE
+    assert locate(p, v(K, 1, 1)) == BOUNDARY
+    assert locate(p, v(K, 0, 1)) == BOUNDARY
+    assert locate(p, v(K, 3, 0)) == OUTSIDE
     # ray through a vertex must not double count
-    assert p.locate(v(K, Fraction(1, 2), 1)) == INSIDE
-
-
-def test_interior_point_is_inside(K):
-    for poly in (square(K, 0, 0), ell(K), square(K, -3, -3, 2)):
-        assert poly.locate(poly.interior_point()) == INSIDE
+    assert locate(p, v(K, Fraction(1, 2), 1)) == INSIDE
 
 
 def test_proper_crossing(K):
-    assert segments_properly_cross(v(K, 0, 0), v(K, 2, 2), v(K, 0, 2), v(K, 2, 0))
-    assert not segments_properly_cross(v(K, 0, 0), v(K, 1, 1), v(K, 1, 1), v(K, 2, 0))
+    def cross(*pts):
+        rows, _ = embed_rows([v(K, x, y) for x, y in pts])
+        return _properly_cross(_ring(K), *rows)
+
+    assert cross((0, 0), (2, 2), (0, 2), (2, 0))
+    assert not cross((0, 0), (1, 1), (1, 1), (2, 0))
 
 
 def test_overlap_disjoint_and_touching(K):
     a = square(K, 0, 0)
-    assert not interiors_overlap(a, square(K, 1, 0))  # shared edge only
-    assert not interiors_overlap(a, square(K, 1, 1))  # shared vertex only
-    assert not interiors_overlap(a, square(K, 3, 3))
-    assert interiors_overlap(a, square(K, 0, 0))  # identical
-    assert interiors_overlap(a, ell(K))  # containment
-    assert interiors_overlap(ell(K), a)
+    assert not overlap(a, square(K, 1, 0))  # shared edge only
+    assert not overlap(a, square(K, 1, 1))  # shared vertex only
+    assert not overlap(a, square(K, 3, 3))
+    assert overlap(a, square(K, 0, 0))  # identical
+    assert overlap(a, ell(K))  # containment
+    assert overlap(ell(K), a)
 
 
 def test_overlap_partial_with_tangential_boundaries(K):
@@ -89,19 +110,19 @@ def test_overlap_partial_with_tangential_boundaries(K):
     # interior vertices, but the interiors share (1,2)x(0,1)
     r1 = Polygon([v(K, 0, 0), v(K, 2, 0), v(K, 2, 1), v(K, 0, 1)])
     r2 = Polygon([v(K, 1, 0), v(K, 3, 0), v(K, 3, 1), v(K, 1, 1)])
-    assert interiors_overlap(r1, r2)
+    assert overlap(r1, r2)
 
 
 def test_containment(K):
     big = square(K, 0, 0, 4)
-    assert polygon_contains(big, square(K, 1, 1))
-    assert polygon_contains(big, square(K, 0, 0, 4))  # equality
-    assert polygon_contains(big, square(K, 0, 0))  # shares corner
-    assert not polygon_contains(big, square(K, 3, 3, 2))  # sticks out
-    assert not polygon_contains(square(K, 1, 1), big)
+    assert contains(big, square(K, 1, 1))
+    assert contains(big, square(K, 0, 0, 4))  # equality
+    assert contains(big, square(K, 0, 0))  # shares corner
+    assert not contains(big, square(K, 3, 3, 2))  # sticks out
+    assert not contains(square(K, 1, 1), big)
     # L contains its corner square but not the notch square
-    assert polygon_contains(ell(K), square(K, 0, 0))
-    assert not polygon_contains(ell(K), square(K, 1, 1))
+    assert contains(ell(K), square(K, 0, 0))
+    assert not contains(ell(K), square(K, 1, 1))
 
 
 def test_exact_coordinates_in_golden_field():
@@ -110,5 +131,6 @@ def test_exact_coordinates_in_golden_field():
     K = golden_field()
     t = K.gen()
     tri = Polygon([K.vec([0, 0]), K.vec([t, 0]), K.vec([0, t])])
-    assert tri.area2() == t * t
-    assert tri.locate(K.vec([Fraction(1, 4), Fraction(1, 4)])) == INSIDE
+    vs, den = tri.ints()
+    assert K.elem(area2(K, vs)) / (den * den) == t * t
+    assert locate(tri, K.vec([Fraction(1, 4), Fraction(1, 4)])) == INSIDE

@@ -1,10 +1,11 @@
 """The integer geometry kernel against field-element reference predicates.
 
-The reference functions below compute every predicate with `QThetaElem`
-arithmetic, solving for edge intersection parameters by division in
-Q(theta); the library computes the same predicates on integer
-coordinates and splits edges at the other polygon's vertices.  Both must
-agree on every input, over Q and over Q(golden ratio).
+The reference functions below compute every predicate and the doubled
+area with `QThetaElem` arithmetic, solving for edge intersection
+parameters by division in Q(theta); the library computes the same
+predicates on integer kernel points and splits edges at the other
+polygon's vertices.  Both must agree on every input, over Q and over
+Q(golden ratio).
 """
 
 import re
@@ -20,19 +21,40 @@ from tilingspectra.geometry import (
     INSIDE,
     OUTSIDE,
     Polygon,
-    cross,
-    dot,
+    _common,
+    _locate,
+    _on_segment,
+    _properly_cross,
+    _ring,
+    _touch,
+    area2,
     interiors_overlap,
-    point_in_polygon,
-    point_on_segment,
-    polygon_area2,
     polygon_contains,
-    segments_properly_cross,
-    segments_touch,
 )
+from tilingspectra.intlattice import embed_rows
 
 # ---------------------------------------------------------------------------
 # reference predicates on field elements
+
+
+def cross(o, a, b):
+    """(a - o) x (b - o), the doubled signed triangle area."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def dot(a, b):
+    return a[0] * b[0] + a[1] * b[1]
+
+
+def ref_area2(vertices):
+    """Twice the signed area (positive for counterclockwise order)."""
+    acc = None
+    n = len(vertices)
+    for i in range(n):
+        a, b = vertices[i], vertices[(i + 1) % n]
+        term = a[0] * b[1] - a[1] * b[0]
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def ref_on_segment(p, a, b):
@@ -159,7 +181,7 @@ def ref_polygon_error(vs):
     for i in range(n):
         if (vs[i] - vs[(i + 1) % n]).is_zero():
             return "repeated consecutive polygon vertex"
-    if polygon_area2(vs).sign() <= 0:
+    if ref_area2(vs).sign() <= 0:
         return "polygon vertices must be counterclockwise with positive area"
     for i in range(n):
         a, b = vs[i], vs[(i + 1) % n]
@@ -244,18 +266,26 @@ def points(draw, field):
 FIELDS = pytest.mark.parametrize("field", [RATIONAL, GOLDEN], ids=["Q", "Q(golden)"])
 
 
+def overlap(p, q):
+    return interiors_overlap(p.vertices[0].field, *_common(p.ints(), q.ints())[1])
+
+
+def contains(outer, inner):
+    return polygon_contains(outer.vertices[0].field, *_common(outer.ints(), inner.ints())[1])
+
+
 @FIELDS
 def test_overlap_and_containment_match_reference(field):
     @settings(max_examples=80, deadline=None)
     @given(polygons(field), polygons(field))
     def check(p, q):
-        assert interiors_overlap(p, q) == ref_overlap(p.vertices, q.vertices)
-        assert polygon_contains(p, q) == ref_contains(p.vertices, q.vertices)
-        assert polygon_contains(q, p) == ref_contains(q.vertices, p.vertices)
+        assert overlap(p, q) == ref_overlap(p.vertices, q.vertices)
+        assert contains(p, q) == ref_contains(p.vertices, q.vertices)
+        assert contains(q, p) == ref_contains(q.vertices, p.vertices)
         # translated copies share edges, vertices and collinear pieces
         shifted = q.translated(p.vertices[1] - q.vertices[0])
-        assert interiors_overlap(p, shifted) == ref_overlap(p.vertices, shifted.vertices)
-        assert polygon_contains(p, shifted) == ref_contains(p.vertices, shifted.vertices)
+        assert overlap(p, shifted) == ref_overlap(p.vertices, shifted.vertices)
+        assert contains(p, shifted) == ref_contains(p.vertices, shifted.vertices)
 
     check()
 
@@ -265,11 +295,13 @@ def test_point_and_segment_predicates_match_reference(field):
     @settings(max_examples=120, deadline=None)
     @given(polygons(field), points(field), points(field), points(field), points(field))
     def check(poly, p, a, b, c):
-        assert poly.locate(p) == ref_locate(p, poly.vertices)
-        assert point_in_polygon(p, poly.vertices) == ref_locate(p, poly.vertices)
-        assert point_on_segment(p, a, b) == ref_on_segment(p, a, b)
-        assert segments_properly_cross(p, a, b, c) == ref_properly_cross(p, a, b, c)
-        assert segments_touch(p, a, b, c) == ref_touch(p, a, b, c)
+        r = _ring(field)
+        den, (vs, (kp, ka, kb, kc)) = _common(poly.ints(), embed_rows([p, a, b, c]))
+        assert field.elem(area2(field, vs)) / (den * den) == ref_area2(poly.vertices)
+        assert _locate(r, kp, vs) == ref_locate(p, poly.vertices)
+        assert _on_segment(r, kp, ka, kb) == ref_on_segment(p, a, b)
+        assert _properly_cross(r, kp, ka, kb, kc) == ref_properly_cross(p, a, b, c)
+        assert _touch(r, kp, ka, kb, kc) == ref_touch(p, a, b, c)
 
     check()
 
@@ -297,12 +329,12 @@ def test_mixed_denominators_and_collinear_pieces():
         p = Polygon([field.vec(v) for v in ((0, 0), (2 * third, 0), (2 * third, 1), (0, 1))])
         q = Polygon([field.vec(v) for v in ((quarter, 0), (2, 0), (2, quarter), (quarter, quarter))])
         for a, b in ((p, q), (q, p)):
-            assert interiors_overlap(a, b) == ref_overlap(a.vertices, b.vertices) is True
-            assert polygon_contains(a, b) == ref_contains(a.vertices, b.vertices) is False
+            assert overlap(a, b) == ref_overlap(a.vertices, b.vertices) is True
+            assert contains(a, b) == ref_contains(a.vertices, b.vertices) is False
     t = GOLDEN.gen()
     tri = Polygon([GOLDEN.vec([0, 0]), GOLDEN.vec([t, 0]), GOLDEN.vec([0, t])])
     sq = Polygon([GOLDEN.vec(v) for v in ((t, 0), (t + 1, 0), (t + 1, 1), (t, 1))])
-    assert interiors_overlap(tri, sq) == ref_overlap(tri.vertices, sq.vertices) is False
+    assert overlap(tri, sq) == ref_overlap(tri.vertices, sq.vertices) is False
 
 
 # overlapping pairs in which no vertex and no edge midpoint of either
@@ -325,4 +357,4 @@ def test_overlap_found_only_by_splitting_edges(field):
     for p, q in SPLIT_ONLY:
         p, q = (Polygon([field.vec([pool[x], pool[y]]) for x, y in vs]) for vs in (p, q))
         assert ref_overlap(p.vertices, q.vertices)
-        assert interiors_overlap(p, q) and interiors_overlap(q, p)
+        assert overlap(p, q) and overlap(q, p)

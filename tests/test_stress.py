@@ -88,14 +88,13 @@ def test_hnf_random_lattice_properties():
 
 
 def test_rectangle_overlap_against_interval_oracle():
-    from tilingspectra.geometry import Polygon, interiors_overlap
+    from tilingspectra.geometry import interiors_overlap
 
     K = NumberField(make_algebraic(IntPoly([-2, 1]), 2))
 
     def rect(x0, y0, w, h):
-        return Polygon(
-            [K.vec([x0, y0]), K.vec([x0 + w, y0]), K.vec([x0 + w, y0 + h]), K.vec([x0, y0 + h])]
-        )
+        # kernel points of a degree-1 field over denominator 1
+        return [(x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)]
 
     rng = random.Random(17)
     for _ in range(120):
@@ -104,5 +103,5 @@ def test_rectangle_overlap_against_interval_oracle():
         w0, h0 = rng.randint(1, 4), rng.randint(1, 4)
         w1, h1 = rng.randint(1, 4), rng.randint(1, 4)
         expected = (x0 < x1 + w1 and x1 < x0 + w0) and (y0 < y1 + h1 and y1 < y0 + h0)
-        got = interiors_overlap(rect(x0, y0, w0, h0), rect(x1, y1, w1, h1))
+        got = interiors_overlap(K, rect(x0, y0, w0, h0), rect(x1, y1, w1, h1))
         assert got == expected, ((x0, y0, w0, h0), (x1, y1, w1, h1))

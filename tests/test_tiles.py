@@ -1,3 +1,4 @@
+from fractions import Fraction
 from operator import add, sub
 from pathlib import Path
 
@@ -157,6 +158,77 @@ def test_degree_two_planar_product_validates():
         coeffs[0] = "1/2" if coeffs[0] == "0" else "3/2"
         failures = validate(system_from_dict(data)).failures()
         assert [(c.name, c.detail) for c in failures] == [failure]
+
+
+def _shift_child(k, delta):
+    def mutate(data):
+        coeffs = data["rules"]["a"][k]["offset"][0]
+        coeffs[0] = str(Fraction(coeffs[0]) + Fraction(delta))
+
+    return mutate
+
+
+def _longer_b(data):
+    data["prototiles"][1]["support"]["length"][0] = "2"
+
+
+# mutations of rule a (two children) or of b's length in a 1d system
+ONE_D_MUTATIONS = {
+    "overlap": _shift_child(1, "-1/2"),
+    "past_end": _shift_child(1, "1/2"),
+    "late_start": _shift_child(0, "1/2"),
+    "negative": _shift_child(0, "-1/2"),
+    "dropped": lambda data: data["rules"]["a"].pop(),
+    "length": _longer_b,
+}
+
+# failing checks of the mutated systems, recorded while 1d validation ran
+# on field-element arithmetic: each message must keep its bytes
+ONE_D_FAILURES = [
+    ("tm", "overlap", [("rule[a].disjoint", "children a@[['0']] and b@[['1/2']] overlap"), ("rule[a].chain", "gap or overlap in the endpoint chain")]),
+    ("tm", "past_end", [("rule[a].containment", "child b@[['3/2']] outside inflated support"), ("rule[a].chain", "gap or overlap in the endpoint chain")]),
+    ("tm", "late_start", [("rule[a].disjoint", "children a@[['1/2']] and b@[['1']] overlap"), ("rule[a].chain", "first child does not start at 0")]),
+    ("tm", "negative", [("rule[a].containment", "child a@[['-1/2']] outside inflated support"), ("rule[a].chain", "first child does not start at 0")]),
+    ("tm", "dropped", [("rule[a].measure", "children measure ['1'] != theta^d*vol ['2']"), ("rule[a].chain", "last child does not reach theta * length")]),
+    ("tm", "length", [("rule[a].measure", "children measure ['3'] != theta^d*vol ['2']"), ("rule[a].containment", "child b@[['1']] outside inflated support"), ("rule[a].chain", "last child does not reach theta * length"), ("rule[b].measure", "children measure ['3'] != theta^d*vol ['4']"), ("rule[b].disjoint", "children b@[['0']] and a@[['1']] overlap"), ("rule[b].chain", "gap or overlap in the endpoint chain")]),
+    ("fibonacci", "overlap", [("rule[a].disjoint", "children a@[['0', '0']] and b@[['-1/2', '1']] overlap"), ("rule[a].chain", "gap or overlap in the endpoint chain")]),
+    ("fibonacci", "past_end", [("rule[a].containment", "child b@[['1/2', '1']] outside inflated support"), ("rule[a].chain", "gap or overlap in the endpoint chain")]),
+    ("fibonacci", "late_start", [("rule[a].disjoint", "children a@[['1/2', '0']] and b@[['0', '1']] overlap"), ("rule[a].chain", "first child does not start at 0")]),
+    ("fibonacci", "negative", [("rule[a].containment", "child a@[['-1/2', '0']] outside inflated support"), ("rule[a].chain", "first child does not start at 0")]),
+    ("fibonacci", "dropped", [("rule[a].measure", "children measure ['0', '1'] != theta^d*vol ['1', '1']"), ("rule[a].chain", "last child does not reach theta * length")]),
+    ("fibonacci", "length", [("rule[a].measure", "children measure ['2', '1'] != theta^d*vol ['1', '1']"), ("rule[a].containment", "child b@[['0', '1']] outside inflated support"), ("rule[a].chain", "last child does not reach theta * length"), ("rule[b].measure", "children measure ['0', '1'] != theta^d*vol ['0', '2']"), ("rule[b].chain", "last child does not reach theta * length")]),
+    ("tribonacci", "overlap", [("rule[a].disjoint", "children a@[['0', '0', '0']] and b@[['1/2', '0', '0']] overlap"), ("rule[a].chain", "gap or overlap in the endpoint chain")]),
+    ("tribonacci", "past_end", [("rule[a].containment", "child b@[['3/2', '0', '0']] outside inflated support"), ("rule[a].chain", "gap or overlap in the endpoint chain")]),
+    ("tribonacci", "late_start", [("rule[a].disjoint", "children a@[['1/2', '0', '0']] and b@[['1', '0', '0']] overlap"), ("rule[a].chain", "first child does not start at 0")]),
+    ("tribonacci", "negative", [("rule[a].containment", "child a@[['-1/2', '0', '0']] outside inflated support"), ("rule[a].chain", "first child does not start at 0")]),
+    ("tribonacci", "dropped", [("rule[a].measure", "children measure ['1', '0', '0'] != theta^d*vol ['0', '1', '0']"), ("rule[a].chain", "last child does not reach theta * length")]),
+    ("tribonacci", "length", [("rule[a].measure", "children measure ['3', '1', '0'] != theta^d*vol ['0', '1', '0']"), ("rule[a].containment", "child b@[['1', '0', '0']] outside inflated support"), ("rule[a].chain", "last child does not reach theta * length"), ("rule[b].measure", "children measure ['0', '-1', '1'] != theta^d*vol ['0', '2', '1']"), ("rule[b].chain", "last child does not reach theta * length")]),
+]
+
+
+@pytest.mark.parametrize("name, case, expected", ONE_D_FAILURES)
+def test_one_d_failure_reports_frozen(systems, name, case, expected):
+    system = systems[name] if name in systems else parse_system(TRIBONACCI)
+    data = serialize_system(system)
+    ONE_D_MUTATIONS[case](data)
+    failures = validate(system_from_dict(data)).failures()
+    assert [(c.name, c.detail) for c in failures] == expected
+
+
+def test_moved_chair_vertex_failure_report_frozen(chair):
+    # NE's notch vertex (1, 1) moved to (3/2, 3/2): NE's area grows from
+    # 3 to 7/2, recorded while 2d measures ran on field elements
+    data = serialize_system(chair)
+    data["prototiles"][0]["support"]["vertices"][3] = [["3/2"], ["3/2"]]
+    failures = validate(system_from_dict(data)).failures()
+    assert [(c.name, c.detail) for c in failures] == [
+        ("rule[NE].measure", "children measure ['13'] != theta^d*vol ['14']"),
+        ("rule[NE].disjoint", "children NE@[['0'], ['0']] and NE@[['1'], ['1']] overlap"),
+        ("rule[NW].measure", "children measure ['25/2'] != theta^d*vol ['12']"),
+        ("rule[NW].disjoint", "children NW@[['0'], ['0']] and NE@[['-2'], ['-2']] overlap"),
+        ("rule[SE].measure", "children measure ['25/2'] != theta^d*vol ['12']"),
+        ("rule[SE].disjoint", "children SE@[['0'], ['0']] and NE@[['-2'], ['-2']] overlap"),
+    ]
 
 
 def test_validation_invariant_under_prototile_translation(grid2):
@@ -391,10 +463,10 @@ def test_legal_pairs_chair(chair, monkeypatch):
 def test_overlap_inscribed_diamond(grid2):
     # diamond touching the square's edge midpoints: no proper crossings,
     # no strictly interior vertices, still an interior overlap
-    from tilingspectra.geometry import Polygon, interiors_overlap
+    from tilingspectra.geometry import interiors_overlap
 
     K = grid2.field
-    sq = Polygon([K.vec([0, 0]), K.vec([2, 0]), K.vec([2, 2]), K.vec([0, 2])])
-    diamond = Polygon([K.vec([1, 0]), K.vec([2, 1]), K.vec([1, 2]), K.vec([0, 1])])
-    assert interiors_overlap(sq, diamond)
-    assert interiors_overlap(diamond, sq)
+    sq = [(0, 0), (2, 0), (2, 2), (0, 2)]
+    diamond = [(1, 0), (2, 1), (1, 2), (0, 1)]
+    assert interiors_overlap(K, sq, diamond)
+    assert interiors_overlap(K, diamond, sq)
