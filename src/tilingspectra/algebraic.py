@@ -123,7 +123,7 @@ class AlgebraicReal:
         """Exact sign of (self - r)."""
         r = Fraction(r)
         lo, hi = self.interval
-        if self.minpoly(r) == 0 and lo < r < hi:
+        if lo < r < hi and hom_value(self.minpoly.coeffs, r.numerator, r.denominator) == 0:
             return 0
         while lo < r < hi:
             lo, hi = self.refine()
@@ -178,9 +178,9 @@ def make_algebraic(minpoly, approx) -> AlgebraicReal:
 
     lo, hi = approx - Fraction(1, 4), approx + Fraction(1, 4)
     # Nudge endpoints off roots (possible only in the degree-1 case).
-    while minpoly(lo) == 0:
+    while hom_value(minpoly.coeffs, lo.numerator, lo.denominator) == 0:
         lo -= Fraction(1, 1000)
-    while minpoly(hi) == 0:
+    while hom_value(minpoly.coeffs, hi.numerator, hi.denominator) == 0:
         hi += Fraction(1, 1000)
     n = chain_count(chain, lo, hi)
     if n == 0:

@@ -1,7 +1,10 @@
 """Exact arithmetic in the real number field Q(theta).
 
 Elements carry their coordinates in the power basis 1, theta, ...,
-theta^(s-1) as Fractions; products reduce modulo the minimal polynomial.
+theta^(s-1) as Fractions.  Under them the field keeps only integers:
+the reduction rows of its one reduced product (`NumberField.mul`), the
+power traces, and the integer systems that inverses hand to the one
+exact solver of `lattice`.
 Order comparisons refine theta's isolating interval until the sign of the
 difference is certain, with a pure-rational fast path for degree 1; the
 interval evaluation runs on integer numerators over one denominator.
@@ -16,7 +19,8 @@ from math import lcm
 
 from .algebraic import AlgebraicReal, make_algebraic
 from .errors import FieldMismatchError, PrecisionError, TilingError
-from .polys import IntPoly, interval_horner, rp_divmod, rp_mul, rp_normalize
+from .lattice import field_solve
+from .polys import IntPoly, interval_horner
 
 _MAX_SIGN_REFINEMENTS = 5000
 
@@ -29,18 +33,17 @@ class NumberField:
         self.minpoly = theta.minpoly
         self.degree = theta.minpoly.degree
         s = self.degree
-        # x^k mod minpoly for k = s .. 2s-2, used by multiplication.
+        # x^k mod minpoly for k = s .. 2s-2 as int rows: the minpoly is
+        # monic, so x^s = -(b_0 + ... + b_{s-1} x^{s-1}), and each next
+        # row is the last one shifted up by x with x^s replaced again
+        top = row = [-b for b in self.minpoly.coeffs[:-1]]
         self._red = []
-        mp = [Fraction(c) for c in self.minpoly.coeffs]
-        cur = [Fraction(0)] * s + [Fraction(1)]  # x^s
-        for _ in range(s, 2 * s - 1):
-            _, r = rp_divmod(tuple(cur), tuple(mp))
-            row = list(r) + [Fraction(0)] * (s - len(r))
+        for _ in range(s - 1):
             self._red.append(row)
-            cur = [Fraction(0)] + list(cur)  # multiply by x
+            row = [lo + row[-1] * t for lo, t in zip([0] + row[:-1], top)]
         # an immutable tuple, replaced whole, so concurrent readers never
         # see a half-built list
-        self._power_traces = (Fraction(s),)
+        self._power_traces = (s,)
 
     # -- constructors -------------------------------------------------
 
@@ -96,8 +99,28 @@ class NumberField:
             return False
         return self.theta.count_roots(lo, hi) == 1
 
+    def mul(self, a, b) -> list:
+        """The power-basis coordinates of a * b for coordinate sequences
+        a, b of ints or Fractions: the schoolbook product, then the terms
+        of degree s .. 2s-2 folded back through the reduction rows.  The
+        sums start at a[0] * 0, so Fraction inputs give Fraction
+        coordinates even where a sum is empty."""
+        s = self.degree
+        zero = a[0] * 0
+        prod = [zero] * (2 * s - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        out = prod[:s]
+        for c, row in zip(prod[s:], self._red):
+            if c:
+                for i, v in enumerate(row):
+                    out[i] += c * v
+        return out
+
     def power_traces(self, upto: int):
-        """Tr(theta^k) for k = 0..upto, by Newton's identities.
+        """Tr(theta^k) for k = 0..upto as ints, by Newton's identities.
 
         For a monic polynomial x^s + b_{s-1} x^{s-1} + ... + b_0 the
         elementary symmetric functions are e_k = (-1)^k b_{s-k}; power
@@ -109,21 +132,18 @@ class NumberField:
             return list(cached[: upto + 1])
         s = self.degree
         b = self.minpoly.coeffs
-        e = [Fraction(0)] * (s + 1)
-        e[0] = Fraction(1)
-        for k in range(1, s + 1):
-            e[k] = Fraction((-1) ** k * b[s - k])
+        e = [1] + [(-1) ** k * b[s - k] for k in range(1, s + 1)]
         p = list(cached)
         while len(p) <= upto:
             k = len(p)
             if k <= s:
-                acc = Fraction(0)
+                acc = 0
                 for i in range(1, k):
                     acc += (-1) ** (i - 1) * e[i] * p[k - i]
                 acc += (-1) ** (k - 1) * k * e[k]
                 p.append(acc)
             else:
-                acc = Fraction(0)
+                acc = 0
                 for i in range(1, s + 1):
                     acc += (-1) ** (i - 1) * e[i] * p[k - i]
                 p.append(acc)
@@ -187,25 +207,9 @@ class QThetaElem:
 
     def __mul__(self, other):
         other = self._check(other)
-        s = self.field.degree
-        if s == 1:
+        if self.field.degree == 1:
             return QThetaElem(self.field, (self.coeffs[0] * other.coeffs[0],))
-        prod = [Fraction(0)] * (2 * s - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                prod[i + j] += a * b
-        out = list(prod[:s])
-        red = self.field._red
-        for k in range(s, 2 * s - 1):
-            c = prod[k]
-            if c == 0:
-                continue
-            row = red[k - s]
-            for i in range(s):
-                out[i] += c * row[i]
-        return QThetaElem(self.field, tuple(out))
+        return QThetaElem(self.field, tuple(self.field.mul(self.coeffs, other.coeffs)))
 
     __rmul__ = __mul__
 
@@ -214,29 +218,20 @@ class QThetaElem:
             raise ZeroDivisionError("division by zero in Q(theta)")
         if self.is_rational():
             return self.field.rational(1 / self.coeffs[0])
-        # Extended Euclid in Q[x] against the minimal polynomial.
-        mp = self.field.minpoly.as_fractions()
-        a = rp_normalize(self.coeffs)
-        r0, r1 = mp, a
-        t0, t1 = (), (Fraction(1),)
-        while True:
-            q, r = rp_divmod(r0, r1)
-            if not r:
-                break
-            t0, t1 = t1, tuple(
-                x - y
-                for x, y in _zip_pad(t0, rp_mul(q, t1))
-            )
-            r0, r1 = r1, r
-        if len(r1) != 1:
+        # Solve sum_j c_j theta^j a = 1 for the c_j: with a = nums / den,
+        # column j holds the coordinates of theta^j nums, the right side den
+        field, s = self.field, self.field.degree
+        nums, den = self._numerators()
+        theta = [0, 1] + [0] * (s - 2)
+        cols = [nums]
+        for _ in range(s - 1):
+            cols.append(field.mul(cols[-1], theta))
+        sol = field_solve(list(zip(*cols)), [[den] + [0] * (s - 1)])
+        if sol.rank < s:
             raise ZeroDivisionError(
                 "element is a zero divisor: minimal polynomial is reducible"
             )
-        inv = tuple(c / r1[0] for c in t1)
-        s = self.field.degree
-        _, inv = rp_divmod(inv, mp) if len(inv) > s else ((), inv)
-        coeffs = list(inv) + [Fraction(0)] * (s - len(inv))
-        return QThetaElem(self.field, tuple(coeffs[:s]))
+        return QThetaElem(field, tuple(Fraction(c, sol.det) for c in sol.columns[0]))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -340,13 +335,6 @@ class QThetaElem:
         return f"QThetaElem({list(map(str, self.coeffs))})"
 
 
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    a = tuple(a) + (Fraction(0),) * (n - len(a))
-    b = tuple(b) + (Fraction(0),) * (n - len(b))
-    return zip(a, b)
-
-
 class QThetaVec:
     """A d-vector with Q(theta) entries; all tiling geometry lives here."""
 
@@ -440,9 +428,9 @@ def parse_rational(text) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise TilingError(f"bad rational {text!r}: {exc}") from None
     if "/" in text:
+        # f is num/den exactly, so it is in lowest terms iff its numerator
+        # is num up to sign
         num, den = text.split("/", 1)
-        if int(den) <= 0 or Fraction(int(num), int(den)) != f or abs(
-            Fraction(int(num), int(den)).numerator
-        ) != abs(int(num)):
+        if int(den) <= 0 or abs(f.numerator) != abs(int(num)):
             raise TilingError(f"rational {text!r} is not in lowest terms p/q with q > 0")
     return f

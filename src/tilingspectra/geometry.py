@@ -41,27 +41,12 @@ class _Ring:
     """Signs of the kernel's expressions in degree s >= 2: an element is
     a list of s ints, a point a tuple of 2*s ints."""
 
-    __slots__ = ("field", "s", "red")
+    __slots__ = ("field", "s", "mul")
 
     def __init__(self, field):
         self.field = field
         self.s = field.degree
-        # x^k mod minpoly for k = s .. 2s-2; integral as minpoly is monic
-        self.red = [[int(c) for c in row] for row in field._red]
-
-    def mul(self, a, b):
-        s = self.s
-        prod = [0] * (2 * s - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        out = prod[:s]
-        for c, row in zip(prod[s:], self.red):
-            if c:
-                for i, v in enumerate(row):
-                    out[i] += c * v
-        return out
+        self.mul = field.mul  # Z[theta] products stay integral: minpoly is monic
 
     def sign(self, e) -> int:
         return coeff_sign(self.field, e)

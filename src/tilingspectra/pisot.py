@@ -2,15 +2,15 @@
 
 A real algebraic integer theta > 1 is Pisot when every Galois conjugate
 lies strictly inside the unit disc.  Everything here is certified by
-integer/rational arithmetic:
+integer arithmetic:
 
 * roots ON the circle divide gcd(p, p~) where p~ reverses the
   coefficients; that gcd is self-reciprocal, so after stripping roots at
   +-1 the substitution y = x + 1/x halves the degree and Sturm chains
   count the real roots of the transform in (-2, 2), each standing for a
   conjugate pair on the circle;
-* roots INSIDE the disc are counted by Schur-Cohn reduction over the
-  rationals.  The plain reduction is singular whenever |a_0| = |a_n|
+* roots INSIDE the disc are counted by Schur-Cohn reduction on integer
+  coefficients.  The plain reduction is singular whenever |a_0| = |a_n|
   (every algebraic unit, e.g. x^2 - x - 1), so the count runs at rational
   radii (2^k -+ 1)/2^k bracketing 1 and tightens k until both sides
   agree; with no circle roots the moduli stay clear of 1 and the loop
@@ -22,7 +22,6 @@ integer/rational arithmetic:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .algebraic import AlgebraicReal
@@ -30,10 +29,10 @@ from .errors import PrecisionError, TilingError
 from .polys import (
     IntPoly,
     cauchy_index,
+    exact_quotient,
+    hom_value,
+    primitive_gcd,
     reciprocal,
-    rp_divmod,
-    rp_gcd,
-    rp_to_int_primitive,
     sturm_count,
 )
 
@@ -150,11 +149,10 @@ def inside_unit_disc_count_winding(p: IntPoly) -> int:
 def _strip_pm1_roots(coeffs):
     """Divide out any factors (x - 1), (x + 1); return (reduced, count)."""
     count = 0
-    cur = tuple(Fraction(c) for c in coeffs)
-    for r in (Fraction(1), Fraction(-1)):
-        while sum(c * r**k for k, c in enumerate(cur)) == 0:
-            cur, rem = rp_divmod(cur, (-r, Fraction(1)))
-            assert not rem
+    cur = coeffs
+    for r in (1, -1):
+        while hom_value(cur, r, 1) == 0:
+            cur = exact_quotient(cur, (-r, 1))
             count += 1
     return cur, count
 
@@ -165,7 +163,7 @@ def _chebyshev_transform(coeffs):
     Uses x^j + x^-j = P_j(x + 1/x) with P_0 = 2, P_1 = y,
     P_{j+1} = y*P_j - P_{j-1}.
     """
-    c = [Fraction(x) for x in coeffs]
+    c = coeffs
     deg = len(c) - 1
     if deg % 2 != 0:
         raise TilingError("palindromic polynomial of odd degree slipped through")
@@ -173,14 +171,12 @@ def _chebyshev_transform(coeffs):
     for j in range(deg + 1):
         if c[j] != c[deg - j]:
             raise TilingError("transform requires palindromic coefficients")
-    h = [c[k] if i == 0 else Fraction(0) for i in range(k + 1)]
-    p_prev = [Fraction(2)]
-    p_cur = [Fraction(0), Fraction(1)]
+    h = [c[k]] + [0] * k
+    p_prev, p_cur = [2], [0, 1]
     for j in range(1, k + 1):
-        basis = p_cur
-        for i, v in enumerate(basis):
+        for i, v in enumerate(p_cur):
             h[i] += c[k + j] * v
-        nxt = [Fraction(0)] + p_cur
+        nxt = [0] + p_cur
         for i, v in enumerate(p_prev):
             nxt[i] -= v
         p_prev, p_cur = p_cur, nxt
@@ -193,17 +189,17 @@ def circle_root_count(p: IntPoly) -> int:
         return 0
     if p.coeffs[0] == 0:
         raise TilingError("zero constant term: factor x out first")
-    g = rp_gcd(p.as_fractions(), reciprocal(p).as_fractions())
+    g = primitive_gcd(p.coeffs, reciprocal(p).coeffs)
     if len(g) - 1 <= 0:
         return 0
-    reduced, on_pm1 = _strip_pm1_roots(rp_to_int_primitive(g))
+    reduced, on_pm1 = _strip_pm1_roots(g)
     if len(reduced) - 1 == 0:
         return on_pm1
-    h = _chebyshev_transform(rp_to_int_primitive(reduced))
+    h = _chebyshev_transform(reduced)
     # Real roots x of g map to |x + 1/x| >= 2 and complex off-circle pairs
     # map to non-real y, so roots of h in (-2, 2) are exactly the circle
     # conjugate pairs.
-    pairs = sturm_count(h, Fraction(-2), Fraction(2))
+    pairs = sturm_count(h, -2, 2)
     return on_pm1 + 2 * pairs
 
 
@@ -243,13 +239,9 @@ def is_pisot(theta: AlgebraicReal) -> PisotCertificate:
     else:
         # Circle roots all divide g = gcd(p, p~); g's off-circle roots come
         # in z, 1/z pairs, one inside and one outside each.
-        g = rp_to_int_primitive(rp_gcd(p.as_fractions(), reciprocal(p).as_fractions()))
-        gdeg = len(g) - 1
-        q, rem = rp_divmod(p.as_fractions(), tuple(Fraction(c) for c in g))
-        if rem:
-            raise TilingError("internal defect: gcd does not divide the polynomial")
-        inside = (gdeg - on) // 2
-        q = rp_to_int_primitive(q)
+        g = primitive_gcd(p.coeffs, reciprocal(p).coeffs)
+        q = exact_quotient(p.coeffs, g)
+        inside = (len(g) - 1 - on) // 2
         if len(q) - 1 > 0:
             inside += inside_unit_disc_count(IntPoly(q))
     outside = s - on - inside

@@ -1,10 +1,11 @@
-"""Exact univariate polynomial arithmetic over the integers and rationals.
+"""Exact univariate polynomial arithmetic on integer coefficients.
 
-Polynomials are coefficient sequences in ascending degree order.  Integer
-polynomials get a thin immutable wrapper (IntPoly); the rational helpers
-work on plain tuples of Fraction and serve gcds and division.  Sturm
-chains, root counting and root isolation run on integer coefficients.
-Everything here is exact; no floats.
+Polynomials are coefficient sequences in ascending degree order; IntPoly
+is a thin immutable wrapper.  Gcds, exact quotients, Sturm chains, root
+counting and root isolation all run on integer coefficients through one
+pseudo-division, with a rational polynomial replaced by a positive
+integer multiple of itself where it occurs.  Everything here is exact; no
+floats.
 """
 
 from __future__ import annotations
@@ -54,9 +55,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def as_fractions(self):
-        return tuple(Fraction(c) for c in self.coeffs)
-
     def __str__(self):
         terms = []
         for k, c in enumerate(self.coeffs):
@@ -69,71 +67,6 @@ class IntPoly:
             else:
                 terms.append(f"{c}*x^{k}" if c not in (1, -1) else (f"x^{k}" if c == 1 else f"-x^{k}"))
         return " + ".join(reversed(terms)).replace("+ -", "- ") or "0"
-
-
-# ---------------------------------------------------------------------------
-# rational-coefficient helpers on tuples of Fraction
-
-
-def rp_normalize(p):
-    return tuple(_strip([Fraction(c) for c in p]))
-
-
-def rp_is_zero(p):
-    return len(p) == 0
-
-
-def rp_mul(p, q):
-    if rp_is_zero(p) or rp_is_zero(q):
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return tuple(_strip(out))
-
-
-def rp_divmod(p, q):
-    """Euclidean division; q must be nonzero."""
-    if rp_is_zero(q):
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    dq = len(q) - 1
-    lead = q[-1]
-    while len(_strip(rem)) - 1 >= dq and not rp_is_zero(tuple(_strip(rem))):
-        rem = _strip(rem)
-        k = len(rem) - 1 - dq
-        f = rem[-1] / lead
-        quot[k] = f
-        for i, c in enumerate(q):
-            rem[k + i] -= f * c
-        rem = rem[:-1]  # the leading term cancels exactly
-    return tuple(_strip(quot)), tuple(_strip(rem))
-
-
-def rp_monic(p):
-    if rp_is_zero(p):
-        return p
-    return tuple(c / p[-1] for c in p)
-
-
-def rp_gcd(p, q):
-    """Monic gcd by the Euclidean algorithm."""
-    a, b = rp_normalize(p), rp_normalize(q)
-    while not rp_is_zero(b):
-        _, r = rp_divmod(a, b)
-        a, b = b, r
-    return rp_monic(a)
-
-
-def rp_to_int_primitive(p):
-    """Scale a rational polynomial to a primitive integer polynomial
-    with positive leading coefficient."""
-    ints = _integer(p)
-    return tuple(-c for c in ints) if ints and ints[-1] < 0 else ints
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +133,22 @@ def sturm_chain(p0, p1):
     return chain
 
 
+def primitive_gcd(p, q):
+    """gcd(p, q) as a primitive integer polynomial with positive leading
+    coefficient: the last element of the remainder sequence of (p, q)."""
+    g = sturm_chain(p, q)[-1]
+    return tuple(-c for c in g) if g[-1] < 0 else g
+
+
+def exact_quotient(a, b):
+    """a / b as a primitive integer polynomial (a positive multiple of
+    the rational quotient); b must divide a over Q."""
+    q, r = _pseudo_divmod(a, b)
+    if r:
+        raise TilingError("internal defect: polynomial division leaves a remainder")
+    return _integer(q)
+
+
 def hom_value(p, num, den):
     """den^deg(p) * p(num/den), an integer with the sign of p(num/den)
     when den > 0."""
@@ -241,7 +190,7 @@ def chain_count(chain, lo, hi):
 def sturm_count(p, lo, hi):
     """Number of distinct real roots of p in the half-open interval (lo, hi].
 
-    Endpoints may be Fractions or the strings '-inf'/'inf'.
+    Endpoints may be ints, Fractions or the strings '-inf'/'inf'.
     """
     p = _integer(p)
     if len(p) <= 1:
@@ -312,7 +261,7 @@ def rational_roots(p: IntPoly, chain=None):
     if chain is None:
         chain = sturm_chain(p.coeffs, derivative(p.coeffs))
         if len(chain[-1]) > 1:  # repeated factors: divide out gcd(p, p')
-            sqfree = _pseudo_divmod(p.coeffs, chain[-1])[0]
+            sqfree = exact_quotient(p.coeffs, chain[-1])
             chain = sturm_chain(sqfree, derivative(sqfree))
     lead = abs(p.leading)
     bound = lead + max(abs(c) for c in p.coeffs[:-1])  # |root| < bound / lead

@@ -27,7 +27,6 @@ from .field import NumberField, QThetaVec
 from .intlattice import (
     abs_max,
     embed,
-    embed_matrix,
     embed_rows,
     fits,
     int_array,
@@ -382,16 +381,17 @@ def _build_controls(system: SubstitutionSystem) -> Controls:
     idx = {tid: i for i, tid in enumerate(order)}
     gamma = {tid: system.gamma(tid) for tid in order}
     # (theta*I - P) c = d, with P the 0/1 matrix of tau, one right-hand
-    # side per coordinate axis
-    mat = [[field.zero() for _ in range(m)] for _ in range(m)]
+    # side per coordinate axis, on power-basis coordinates: theta acts on a
+    # coordinate column by the transposed companion block, 1 by I_s
+    P = np.zeros((m, m), dtype=np.int64)
     for tid, (_, child) in gamma.items():
-        i = idx[tid]
-        mat[i][i] = mat[i][i] + field.gen()
-        mat[i][idx[child.proto]] = mat[i][idx[child.proto]] - field.one()
-    lhs, den = embed_matrix(field, mat)
+        P[idx[tid], idx[child.proto]] = 1
+    lhs = np.kron(np.eye(m, dtype=np.int64), theta_matrix(field, 1).T) - np.kron(
+        P, np.eye(s, dtype=np.int64)
+    )
     offsets, offset_den = embed_rows([child.offset for _, child in gamma.values()])
-    rhs = [[den * row[k * s + t] for row in offsets for t in range(s)] for k in range(d)]
-    sol = field_solve(lhs, rhs)
+    rhs = [[row[k * s + t] for row in offsets for t in range(s)] for k in range(d)]
+    sol = field_solve(lhs.tolist(), rhs)
     if sol.rank < m * s:
         raise TilingError("singular matrix in exact solve")
     # coordinate t of axis k of c_i is column k, row i*s + t, over det * offset_den

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .algebraic import make_algebraic
 from .errors import SystemFileError, TilingError
-from .field import NumberField, QThetaVec
+from .field import NumberField, QThetaElem, QThetaVec, parse_rational
 from .geometry import Polygon
 from .polys import IntPoly
 from .tiles import Interval, PlacedTile, Prototile, SubstitutionSystem, validate
@@ -58,7 +58,7 @@ def system_from_dict(data) -> SubstitutionSystem:
 
     theta_obj = _expect(data, "theta", dict)
     minpoly_raw = _expect(theta_obj, "minpoly", list, "theta.minpoly")
-    if not all(isinstance(c, int) for c in minpoly_raw):
+    if not all(_is_int(c) for c in minpoly_raw):
         raise SystemFileError("coefficients must be integers", "theta.minpoly")
     try:
         minpoly = IntPoly(minpoly_raw)
@@ -148,7 +148,7 @@ def system_from_dict(data) -> SubstitutionSystem:
         for tid, idx in cc_raw.items():
             if tid not in ids:
                 raise SystemFileError("unknown prototile", f"control_child[{tid}]")
-            if not isinstance(idx, int):
+            if not _is_int(idx):
                 raise SystemFileError("index must be an integer", f"control_child[{tid}]")
             control_child[tid] = idx
 
@@ -226,9 +226,14 @@ def _expect(obj, key, typ, path=None):
     if not isinstance(obj, dict) or key not in obj:
         raise SystemFileError("missing required field", path)
     val = obj[key]
-    if not isinstance(val, typ) or (typ is int and isinstance(val, bool)):
+    if not (_is_int(val) if typ is int else isinstance(val, typ)):
         raise SystemFileError(f"expected {typ.__name__}", path)
     return val
+
+
+def _is_int(val) -> bool:
+    """A JSON integer: Python reads true/false as the ints 1/0."""
+    return isinstance(val, int) and not isinstance(val, bool)
 
 
 def _parse_qtheta(raw, field: NumberField, path: str):
@@ -247,12 +252,10 @@ def _parse_qtheta(raw, field: NumberField, path: str):
                 f"coordinate must be a 'p/q' string, got {item!r}", f"{path}[{k}]"
             )
         try:
-            from .field import parse_rational
-
             coeffs.append(parse_rational(item))
         except TilingError as exc:
             raise SystemFileError(str(exc), f"{path}[{k}]") from None
-    return field.elem(coeffs)
+    return QThetaElem(field, tuple(coeffs))
 
 
 def _parse_vec(raw, field: NumberField, dimension: int, path: str) -> QThetaVec:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
 from .errors import UndecidedError
 from .field import QThetaElem
@@ -24,7 +24,8 @@ DEFAULT_STATE_BUDGET = 10**6
 def trace(x: QThetaElem) -> Fraction:
     """Tr_{Q(theta)/Q}(x): power-sum traces contracted with coordinates."""
     p = x.field.power_traces(x.field.degree - 1)
-    return sum((c * p[k] for k, c in enumerate(x.coeffs)), Fraction(0))
+    nums, den = x._numerators()
+    return Fraction(sum(c * p[k] for k, c in enumerate(nums)), den)
 
 
 @dataclass(frozen=True)
@@ -58,12 +59,11 @@ def dist_to_int_limit(x: QThetaElem, budget: int = DEFAULT_STATE_BUDGET) -> Trac
     field = x.field
     s = field.degree
     powers = field.power_traces(2 * s - 2)
-    t = []
-    for n in range(s):
-        t.append(sum((c * powers[n + k] for k, c in enumerate(x.coeffs)), Fraction(0)))
-    denom = 1
-    for v in t:
-        denom = lcm(denom, v.denominator)
+    # t_n = Tr(theta^n x) = t[n] / den
+    nums, den = x._numerators()
+    t = [sum(c * powers[n + k] for k, c in enumerate(nums)) for n in range(s)]
+    g = gcd(den, *t)
+    denom = den // g
     if denom**s > budget:
         raise UndecidedError(
             f"residue state space {denom}^{s} exceeds budget {budget}",
@@ -76,7 +76,7 @@ def dist_to_int_limit(x: QThetaElem, budget: int = DEFAULT_STATE_BUDGET) -> Trac
 
     # integer sequence v_n = D * t_n obeys the minimal-polynomial recurrence
     rec = [-c for c in field.minpoly.coeffs[:-1]]  # v_{n+s} = sum rec[j] v_{n+j}
-    state = tuple(int(v * denom) % denom for v in t)
+    state = tuple(v // g % denom for v in t)  # D * t_n = t[n] / g
     seen = {state: 0}
     order = [state]
     while True:

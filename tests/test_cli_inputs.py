@@ -16,10 +16,14 @@ from tilingspectra.corpus import corpus_path
 REDUCIBLE_QUARTIC = [2, 2, -3, -1, 1]
 
 
-def run_validate(path):
+def run_command(command, path):
     out, err = io.StringIO(), io.StringIO()
-    code = cli_dispatch(["validate", str(path)], stdout=out, stderr=err)
+    code = cli_dispatch([command, str(path)], stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_validate(path):
+    return run_command("validate", path)
 
 
 def load_corpus(name):
@@ -41,6 +45,30 @@ def test_reducible_quartic_file_rejected(tmp_path):
     code, out, err = run_validate(path)
     assert code == 1
     assert "irreducibility could not be certified" in json.loads(out)["error"]
+    assert "Traceback" not in err
+
+
+def test_boolean_control_child_rejected(tmp_path):
+    """JSON true is no integer index, though Python reads it as 1."""
+    data = load_corpus("fibonacci")
+    data["control_child"] = {"a": True}
+    path = tmp_path / "bool_control.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_command("control-points", path)
+    assert code == 1
+    assert json.loads(out)["error"] == "control_child[a]: index must be an integer"
+    assert "Traceback" not in err
+
+
+def test_boolean_minpoly_coefficient_rejected(tmp_path):
+    """[-1, -1, true] is not read as x^2 - x - 1."""
+    data = load_corpus("fibonacci")
+    data["theta"]["minpoly"] = [-1, -1, True]
+    path = tmp_path / "bool_minpoly.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_command("validate", path)
+    assert code == 1
+    assert json.loads(out)["error"] == "theta.minpoly: coefficients must be integers"
     assert "Traceback" not in err
 
 

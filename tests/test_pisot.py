@@ -2,8 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tilingspectra import IntPoly, is_pisot, make_algebraic
+from tilingspectra.polys import is_squarefree
 from tilingspectra.pisot import (
     circle_root_count,
     inside_unit_disc_count,
@@ -88,3 +92,25 @@ def test_schur_cohn_agrees_with_winding_on_random_polys():
         assert inside_unit_disc_count(p) == expected
         assert inside_unit_disc_count_winding(p) == expected
         checked += 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cyclotomic=st.sets(st.integers(1, 10), max_size=3),
+    factor=st.lists(st.integers(-5, 5), min_size=2, max_size=5).filter(
+        lambda c: c[0] != 0 and c[-1] != 0
+    ),
+)
+def test_circle_root_count_matches_nroots(cyclotomic, factor):
+    """Square-free products of cyclotomic factors (x - 1 and x + 1 among
+    them) and a random integer factor, against sympy's numerical roots."""
+    x = sympy.Symbol("x")
+    expr = sympy.Poly(list(reversed(factor)), x).as_expr()
+    for n in cyclotomic:
+        expr *= sympy.cyclotomic_poly(n, x)
+    poly = sympy.Poly(sympy.expand(expr), x)
+    p = IntPoly([int(c) for c in reversed(poly.all_coeffs())])
+    assume(is_squarefree(p))
+    gaps = [abs(abs(complex(r)) - 1) for r in poly.nroots(n=20, maxsteps=200)]
+    assume(not any(1e-12 <= g < 1e-6 for g in gaps))  # too close to call numerically
+    assert circle_root_count(p) == sum(g < 1e-12 for g in gaps)

@@ -6,17 +6,16 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilingspectra import make_algebraic
+from tilingspectra import TilingError, make_algebraic
 
 from tilingspectra.polys import (
     IntPoly,
     cauchy_index,
+    exact_quotient,
     is_squarefree,
+    primitive_gcd,
     rational_roots,
     reciprocal,
-    rp_divmod,
-    rp_gcd,
-    rp_mul,
     sturm_count,
 )
 
@@ -29,26 +28,64 @@ def test_intpoly_strips_and_checks():
     assert p(Fraction(1, 2)) == Fraction(-5, 4)
 
 
-def test_divmod_reconstructs():
-    a = tuple(map(Fraction, (3, 0, -2, 1, 4)))
-    b = tuple(map(Fraction, (1, 2, 1)))
-    q, r = rp_divmod(a, b)
-    assert rp_mul(q, b) == tuple(
-        x - y for x, y in zip(a, r + (Fraction(0),) * (len(a) - len(r)))
-    )
+def int_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def test_exact_quotient_reconstructs():
+    b = (1, 2, 1)
+    q = exact_quotient(int_mul((3, 0, -2, 1, 4), b), b)
+    assert q == (3, 0, -2, 1, 4)
+    # 4x^4 + x^3 - 2x^2 + 3 leaves the remainder -9x - 5 on division by (x + 1)^2
+    with pytest.raises(TilingError, match="remainder"):
+        exact_quotient((3, 0, -2, 1, 4), b)
 
 
 def test_gcd_of_coprime_is_one():
-    g = rp_gcd((Fraction(-1), Fraction(-1), Fraction(1)), (Fraction(-2), Fraction(1)))
-    assert g == (Fraction(1),)
+    assert primitive_gcd((-1, -1, 1), (-2, 1)) == (1,)
 
 
 def test_gcd_detects_common_factor():
     # (x-1)(x+2) and (x-1)(x-3) share x-1
-    a = (Fraction(-2), Fraction(1), Fraction(1))
-    b = (Fraction(3), Fraction(-4), Fraction(1))
-    g = rp_gcd(a, b)
-    assert g == (Fraction(-1), Fraction(1))
+    assert primitive_gcd((-2, 1, 1), (3, -4, 1)) == (-1, 1)
+
+
+int_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(lambda c: c[-1] != 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(common=int_polys, a=int_polys, b=int_polys, sign=st.sampled_from((1, -1)))
+def test_integer_gcd_and_quotient_match_sympy(common, a, b, sign):
+    """primitive_gcd is sympy's gcd made primitive with a positive leading
+    coefficient, and exact_quotient the primitive form of sympy's exact
+    quotient; a nonzero remainder raises."""
+    x = sympy.Symbol("x")
+
+    def poly(c):
+        return sympy.Poly(list(reversed(c)), x)
+
+    def ints(p):
+        c = [int(v) for v in reversed(p.all_coeffs())]
+        return tuple(-v for v in c) if c[-1] < 0 else tuple(c)
+
+    p = int_mul(common, a)
+    q = tuple(sign * c for c in int_mul(common, b))
+    g = primitive_gcd(p, q)
+    assert g == ints(sympy.gcd(poly(p), poly(q)).primitive()[1])
+    quot, rem = sympy.div(poly(p), poly(g), domain="QQ")
+    assert rem.is_zero
+    expected = ints(quot.clear_denoms()[1].primitive()[1])
+    # exact_quotient keeps the sign of a / b; sympy's primitive part is made positive above
+    got = exact_quotient(p, g)
+    assert (tuple(-v for v in got) if got[-1] < 0 else got) == expected
+    quot, rem = sympy.div(poly(p), poly(b), domain="QQ")
+    if len(b) > 1 and not rem.is_zero:
+        with pytest.raises(TilingError):
+            exact_quotient(p, b)
 
 
 @pytest.mark.parametrize(

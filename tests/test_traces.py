@@ -1,8 +1,13 @@
 import sys
 import threading
 from fractions import Fraction
+from functools import cache
+from itertools import product
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilingspectra import (
     IntPoly,
@@ -168,3 +173,82 @@ def test_exact_rational_distance():
     K = NumberField(make_algebraic(IntPoly([-2, 1]), 2))
     assert dist_to_int(K.rational(Fraction(7, 3))) == Fraction(1, 3)
     assert dist_to_int(K.rational(5)) == 0
+
+
+def dist_to_int_limit_reference(x, budget):
+    """Reference residue walk on Fraction traces from the companion-matrix
+    oracle: (eventually_integer, denominator, preperiod, period), or
+    'undecided' when the state space D^s exceeds the budget."""
+    field = x.field
+    s = field.degree
+    powers = companion_trace_oracle(field.minpoly, 2 * s - 2)
+    t = [sum((c * powers[n + k] for k, c in enumerate(x.coeffs)), Fraction(0)) for n in range(s)]
+    denom = lcm(*(v.denominator for v in t))
+    if denom**s > budget:
+        return "undecided"
+    if denom == 1:
+        return True, 1, 0, 1
+    rec = [-c for c in field.minpoly.coeffs[:-1]]
+    state = tuple(int(v * denom) % denom for v in t)
+    order, seen = [state], {state: 0}
+    while True:
+        state = state[1:] + (sum(r * v for r, v in zip(rec, state)) % denom,)
+        if state in seen:
+            first = seen[state]
+            break
+        seen[state] = len(order)
+        order.append(state)
+    zero = (0,) * s
+    eventually = all(st_ == zero for st_ in order[first:])
+    pre = first
+    while eventually and pre > 0 and order[pre - 1] == zero:
+        pre -= 1
+    return eventually, denom, pre, len(order) - first
+
+
+TRACE_FIELDS = {
+    "x - 2": ((-2, 1), 2),
+    "x - 3": ((-3, 1), 3),
+    "golden": ((-1, -1, 1), Fraction(8, 5)),
+    "silver": ((-1, -2, 1), Fraction(24, 10)),
+    "np26": ((-5, -2, 1), Fraction(345, 100)),
+    "plastic": ((-1, -1, 0, 1), Fraction(133, 100)),
+    "tribonacci": ((-1, -1, -1, 1), Fraction(184, 100)),
+}
+
+
+@cache
+def trace_field(name):
+    coeffs, approx = TRACE_FIELDS[name]
+    return NumberField(make_algebraic(IntPoly(coeffs), approx))
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(list(TRACE_FIELDS)), budget=st.integers(10, 3000), data=st.data())
+def test_dist_to_int_limit_matches_fraction_walk(name, budget, data):
+    """Degrees 1-3: the same verdict, denominator, preperiod and period as
+    the Fraction walk, and UndecidedError at the same inputs."""
+    K = trace_field(name)
+    coord = st.fractions(min_value=-5, max_value=5, max_denominator=30)
+    x = K.elem(data.draw(st.lists(coord, min_size=K.degree, max_size=K.degree)))
+    expected = dist_to_int_limit_reference(x, budget)
+    try:
+        r = dist_to_int_limit(x, budget=budget)
+    except UndecidedError:
+        assert expected == "undecided"
+        return
+    assert (r.eventually_integer, r.denominator, r.preperiod, r.period) == expected
+
+
+@pytest.mark.parametrize("name", list(TRACE_FIELDS))
+def test_dist_to_int_limit_matches_fraction_walk_on_small_denominators(name):
+    """Every x with coordinates k/q, |k| <= q, for small q: this reaches the
+    inputs whose traces share a factor with q, like 1/4 over the silver
+    ratio (traces 2/4 and 2/4, so D = 2)."""
+    K = trace_field(name)
+    for q in range(1, 7 if K.degree < 3 else 5):
+        for nums in product(range(-q, q + 1), repeat=K.degree):
+            x = K.elem([Fraction(k, q) for k in nums])
+            r = dist_to_int_limit(x)
+            expected = dist_to_int_limit_reference(x, 10**6)
+            assert (r.eventually_integer, r.denominator, r.preperiod, r.period) == expected
