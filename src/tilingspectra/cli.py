@@ -125,6 +125,9 @@ def _vector_arg(system, text: str, label: str):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SystemFileError(f"{label} is not valid JSON: {exc.msg}", label) from None
+    where = _boolean_at(data, label)
+    if where:  # Python reads JSON true as 1, a coordinate the user never wrote
+        raise SystemFileError("expected 'p/q' strings or integers, got a boolean", where)
     d, s = system.dimension, system.field.degree
     if isinstance(data, (str, int)):
         data = [data]
@@ -145,6 +148,18 @@ def _vector_arg(system, text: str, label: str):
         [str(c) if isinstance(c, int) else c for c in coord] for coord in data
     ]
     return _parse_vec(data, system.field, d, label)
+
+
+def _boolean_at(data, path: str):
+    """The path of the first JSON boolean in data, a JSON value, or None."""
+    if isinstance(data, bool):
+        return path
+    if isinstance(data, list):
+        for k, item in enumerate(data):
+            found = _boolean_at(item, f"{path}[{k}]")
+            if found:
+                return found
+    return None
 
 
 def cli_dispatch(argv, stdout=None, stderr=None) -> int:

@@ -14,9 +14,7 @@ integer arithmetic:
   (every algebraic unit, e.g. x^2 - x - 1), so the count runs at rational
   radii (2^k -+ 1)/2^k bracketing 1 and tightens k until both sides
   agree; with no circle roots the moduli stay clear of 1 and the loop
-  terminates;
-* an independent winding-number count (rational parameterization of the
-  circle plus a Cauchy index) is exposed for cross-checking.
+  terminates.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from .algebraic import AlgebraicReal
 from .errors import PrecisionError, TilingError
 from .polys import (
     IntPoly,
-    cauchy_index,
     exact_quotient,
     hom_value,
     primitive_gcd,
@@ -94,56 +91,6 @@ def inside_unit_disc_count(p: IntPoly) -> int:
     raise PrecisionError(
         "Schur-Cohn radii did not converge; is there a root on the unit circle?"
     )
-
-
-def inside_unit_disc_count_winding(p: IntPoly) -> int:
-    """Independent inside-count via the argument principle.
-
-    Parameterize the circle rationally, z(t) = ((1-t^2) + 2it)/(1+t^2);
-    then (1+t^2)^n p(z(t)) = A(t) + iB(t) with integer A, B, and the
-    winding number of p over the circle equals -I(B/A)/2 with I the
-    Cauchy index over the real line.  Requires no roots on the circle
-    (in particular p(-1) != 0, where the parameterization closes up).
-    """
-    n = p.degree
-    if n == 0:
-        return 0
-
-    def pmul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return out
-
-    def padd(a, b):
-        out = [0] * max(len(a), len(b))
-        for i, x in enumerate(a):
-            out[i] += x
-        for i, x in enumerate(b):
-            out[i] += x
-        return out
-
-    re_z, im_z = [1, 0, -1], [0, 2]  # numerator of z(t): (1 - t^2) + i 2t
-    one_plus = [1, 0, 1]
-    pw = [[1]]
-    for _ in range(n):
-        pw.append(pmul(pw[-1], one_plus))
-    acc_re, acc_im = [0], [0]
-    zp_re, zp_im = [1], [0]
-    for k, a in enumerate(p.coeffs):
-        if a:
-            acc_re = padd(acc_re, [a * c for c in pmul(zp_re, pw[n - k])])
-            acc_im = padd(acc_im, [a * c for c in pmul(zp_im, pw[n - k])])
-        zp_re, zp_im = (
-            padd(pmul(zp_re, re_z), [-c for c in pmul(zp_im, im_z)]),
-            padd(pmul(zp_re, im_z), pmul(zp_im, re_z)),
-        )
-    idx = cauchy_index(acc_re, acc_im)
-    if idx % 2 != 0:
-        raise TilingError("odd Cauchy index: root on the unit circle?")
-    return -idx // 2
 
 
 def _strip_pm1_roots(coeffs):

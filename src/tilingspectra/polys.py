@@ -198,17 +198,6 @@ def sturm_count(p, lo, hi):
     return chain_count(sturm_chain(p, derivative(p)), lo, hi)
 
 
-def cauchy_index(den, num):
-    """Cauchy index of num/den over the whole real line.
-
-    Counts jumps of num/den from -inf to +inf minus jumps the other way,
-    via sign variations of the signed remainder sequence.
-    """
-    if not _strip(den) or not _strip(num):
-        return 0
-    return chain_count(sturm_chain(den, num), "-inf", "inf")
-
-
 # ---------------------------------------------------------------------------
 # interval evaluation
 

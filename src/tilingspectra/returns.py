@@ -38,6 +38,7 @@ from .intlattice import (
     reduce_rows,
     rows_in,
     span_rank,
+    substitute,
     theta_matrix,
     unique_keys,
     unpack,
@@ -46,7 +47,7 @@ from .intlattice import (
 )
 from .lattice import charpoly, field_solve
 from .ordering import value_order
-from .tiles import SubstitutionSystem
+from .tiles import DEFAULT_GROW_BUDGET, SubstitutionSystem
 
 DEFAULT_PAIR_BUDGET = 40_000_000
 _FFT_CELL_BUDGET = 30_000_000
@@ -88,21 +89,27 @@ def enumerate_returns(
 
 def _return_rows(system: SubstitutionSystem, depth: int, budget: int = DEFAULT_PAIR_BUDGET):
     """(rows, den): the returns of `enumerate_returns` in integer form
-    (see `intlattice`), in lexicographic order of the rows.
+    (see `intlattice`), in lexicographic order of the rows."""
+    if depth < 0:
+        raise TilingError("depth must be nonnegative")
+    return _patch_returns(system, (system.grow_lattice(tid, depth) for tid in system.order), budget)
 
-    Every difference of one depth is packed into one integer key (see
+
+def _patch_returns(system: SubstitutionSystem, patches, budget: int = DEFAULT_PAIR_BUDGET):
+    """(rows, den): the nonzero differences of same-type tiles within each
+    of the patches (types, coords, den, ...), all over the form's den, as
+    `grow_lattice` and `_step` keep it.
+
+    Every difference is packed into one integer key (see
     `intlattice.pack`) under one mixed radix, wide enough for the largest
     extent of each column over all type groups, so the keys of every
     group, from either difference path, are deduplicated together and
     unpacked once."""
-    if depth < 0:
-        raise TilingError("depth must be nonnegative")
     width = system.field.degree * system.dimension
     den = system.lattice_form().den
     groups = []
     pair_count = 0
-    for tid in system.order:
-        types, coords, _ = system.grow_lattice(tid, depth)
+    for types, coords, *_ in patches:
         for p in range(len(system.order)):
             offsets = coords[types == p]
             n = len(offsets)
@@ -207,6 +214,9 @@ class ReturnModule:
     stabilized: bool
     dimension: int
     M: object = dc_field(default=None)
+    # (rows, den) of the sample at sample_depth, read-only, as
+    # `_return_rows` gives it; kept by `stabilized_module` only
+    _sample: tuple = dc_field(default=None, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -255,15 +265,24 @@ def group_basis(sample: ReturnSample, field: NumberField = None) -> ReturnModule
     if not sample.vectors:
         raise TilingError("empty return sample has no group basis")
     field = field or sample.vectors[0].field
-    return _module_of(field, sample.coords, sample.den, sample.depth, sample.dimension)
+    key = _basis_of(sample.coords, sample.den)
+    return _module_of(field, key, sample.coords.shape[1], sample.depth, sample.dimension)
 
 
-def _module_of(field, coords, den, depth, dimension) -> ReturnModule:
-    """The ReturnModule of the group generated by the rows coords / den."""
+def _basis_of(coords, den):
+    """(D, hnf rows): the smallest denominator D of the rows coords / den
+    and the canonical HNF rows of the group they generate over 1 / D;
+    the pair determines the rational lattice."""
     coords, den = reduce_rows(coords, den)
-    basis = lattice_basis(coords)
+    return den, lattice_basis(coords)
+
+
+def _module_of(field, key, width: int, depth: int, dimension: int) -> ReturnModule:
+    """The ReturnModule of the group whose `_basis_of` is key, on rows of
+    `width` columns."""
+    den, basis = key
     return ReturnModule(
-        generators=vectors(field, int_array(basis, coords.shape[1]), den),
+        generators=vectors(field, int_array(basis, width), den),
         denominator=den,
         hnf_rows=basis,
         sample_depth=depth,
@@ -272,33 +291,47 @@ def _module_of(field, coords, den, depth, dimension) -> ReturnModule:
     )
 
 
-def _lattice_key(module: ReturnModule):
-    """Canonical form of the rational lattice for equality testing:
-    group_basis keeps the smallest denominator, so (denominator, HNF
-    rows) determines the lattice."""
-    return (module.denominator, tuple(map(tuple, module.hnf_rows)))
-
-
 def stabilized_module(
     system: SubstitutionSystem, start_depth: int = 2, max_depth: int = 6
 ) -> ReturnModule:
-    """Deepen the sample until consecutive depths generate the same group."""
-    prev = None
-    prev_key = None
+    """Deepen the sample until consecutive depths generate the same group.
+
+    Every prototile is grown once, at the first depth; each further depth
+    is one substitution step of the patches of the depth before.  Depths
+    are compared on their (denominator, HNF rows), and only the module
+    returned gets its generator vectors.  It keeps the integer rows of
+    its last sample, read-only, for `kenyon_basis` at its depth."""
+    form = system.lattice_form()
+    patches, last, stabilized = None, None, False
     for depth in range(start_depth, max_depth + 1):
-        rows, den = _return_rows(system, depth)
+        if patches is None:
+            patches = [system.grow_lattice(tid, depth) for tid in system.order]
+        else:
+            patches = [_step(form, *patch) for patch in patches]
+        rows, den = _patch_returns(system, patches)
         if not len(rows):
             continue
-        module = _module_of(system.field, rows, den, depth, system.dimension)
-        key = _lattice_key(module)
-        if prev_key is not None and key == prev_key:
-            module.stabilized = True
-            return module
-        prev, prev_key = module, key
-    if prev is None:
+        key = _basis_of(rows, den)
+        stabilized = last is not None and key == last[0]
+        last = key, depth, rows, den
+        if stabilized:
+            break
+    if last is None:
         raise TilingError("no return vectors found up to the maximum depth")
-    prev.stabilized = False
-    return prev
+    key, depth, rows, den = last
+    module = _module_of(system.field, key, rows.shape[1], depth, system.dimension)
+    module.stabilized = stabilized
+    rows.setflags(write=False)
+    module._sample = rows, den
+    return module
+
+
+def _step(form, types, coords, den, bound=None):
+    """`intlattice.substitute` of one patch, refused as `grow_lattice`
+    refuses a patch of more than DEFAULT_GROW_BUDGET tiles."""
+    if int(form.child_count[types].sum()) > DEFAULT_GROW_BUDGET:
+        raise BudgetError(f"grow would produce more than {DEFAULT_GROW_BUDGET} tiles")
+    return substitute(form, types, coords, den, bound)
 
 
 def phi_action(module: ReturnModule, system: SubstitutionSystem):
@@ -430,12 +463,13 @@ def verify_control_point_dynamics(system, cps: ControlPointSet, depth: int) -> b
     """phi(control points of omega^depth) land on control points of
     omega^(depth+1), for every prototile."""
     points = embed([cps.points[tid] for tid in system.order])
-    theta = system.lattice_form().theta
+    form = system.lattice_form()
     for tid in system.order:
-        # both over one denominator: grow_lattice keeps the form's
-        here, _ = _control_rows(points, *system.grow_lattice(tid, depth))
-        there, _ = _control_rows(points, *system.grow_lattice(tid, depth + 1))
-        if not rows_in(matmul(here, theta), there):
+        # both over one denominator: grow_lattice and _step keep the form's
+        patch = system.grow_lattice(tid, depth)
+        here, _ = _control_rows(points, *patch)
+        there, _ = _control_rows(points, *_step(form, *patch)[:3])
+        if not rows_in(matmul(here, form.theta), there):
             return False
     return True
 
@@ -534,10 +568,12 @@ def kenyon_basis(
         verified_count=0,
         coordinate_map=(_times(T, den // g), L // g),
     )
-    if sample is None or sample.depth != depth:
-        rows, rows_den = _return_rows(system, depth)
-    else:
+    if sample is not None and sample.depth == depth:
         rows, rows_den = sample.coords, sample.den
+    elif module._sample is not None and module.sample_depth == depth:
+        rows, rows_den = module._sample
+    else:
+        rows, rows_den = _return_rows(system, depth)
     ok = kb.integral_rows(rows, rows_den)
     if not ok.all():
         bad = rows[~ok]

@@ -176,3 +176,24 @@ def test_render_rejects_bad_scale(tmp_path, scale):
     assert cli_dispatch(argv, stdout=out, stderr=err) == 1
     assert "scale must be finite and positive" in json.loads(out.getvalue())["error"]
     assert not target.exists()
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "tm"])
+@pytest.mark.parametrize("flag", ["alpha", "z"])
+@pytest.mark.parametrize(
+    "text,where",
+    [("true", ""), ("[true]", "[0]"), ("[[true]]", "[0][0]"), ('[["1", false]]', "[0][1]")],
+)
+def test_vector_arguments_reject_booleans(name, flag, text, where):
+    """JSON true is no coordinate, though Python reads it as 1."""
+    path = str(corpus_path(name))
+    if flag == "alpha":
+        argv = ["eigen", "check", path, f"--alpha={text}"]
+    else:
+        alpha = ALPHA.get(name, '"1/3"')
+        argv = ["converge", path, "--alpha", alpha, "--steps", "4", f"--z={text}"]
+    out, err = io.StringIO(), io.StringIO()
+    assert cli_dispatch(argv, stdout=out, stderr=err) == 1
+    message = f"{flag}{where}: expected 'p/q' strings or integers, got a boolean"
+    assert json.loads(out.getvalue())["error"] == message
+    assert "Traceback" not in err.getvalue()

@@ -6,13 +6,61 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tilingspectra import IntPoly, is_pisot, make_algebraic
+from tilingspectra import IntPoly, TilingError, is_pisot, make_algebraic
 from tilingspectra.polys import is_squarefree
-from tilingspectra.pisot import (
-    circle_root_count,
-    inside_unit_disc_count,
-    inside_unit_disc_count_winding,
-)
+from tilingspectra.pisot import circle_root_count, inside_unit_disc_count
+
+from test_polys import cauchy_index
+
+
+def inside_unit_disc_count_winding(p: IntPoly) -> int:
+    """Independent inside-count via the argument principle.
+
+    Parameterize the circle rationally, z(t) = ((1-t^2) + 2it)/(1+t^2);
+    then (1+t^2)^n p(z(t)) = A(t) + iB(t) with integer A, B, and the
+    winding number of p over the circle equals -I(B/A)/2 with I the
+    Cauchy index over the real line.  Requires no roots on the circle
+    (in particular p(-1) != 0, where the parameterization closes up).
+    """
+    n = p.degree
+    if n == 0:
+        return 0
+
+    def pmul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return out
+
+    def padd(a, b):
+        out = [0] * max(len(a), len(b))
+        for i, x in enumerate(a):
+            out[i] += x
+        for i, x in enumerate(b):
+            out[i] += x
+        return out
+
+    re_z, im_z = [1, 0, -1], [0, 2]  # numerator of z(t): (1 - t^2) + i 2t
+    one_plus = [1, 0, 1]
+    pw = [[1]]
+    for _ in range(n):
+        pw.append(pmul(pw[-1], one_plus))
+    acc_re, acc_im = [0], [0]
+    zp_re, zp_im = [1], [0]
+    for k, a in enumerate(p.coeffs):
+        if a:
+            acc_re = padd(acc_re, [a * c for c in pmul(zp_re, pw[n - k])])
+            acc_im = padd(acc_im, [a * c for c in pmul(zp_im, pw[n - k])])
+        zp_re, zp_im = (
+            padd(pmul(zp_re, re_z), [-c for c in pmul(zp_im, im_z)]),
+            padd(pmul(zp_re, im_z), pmul(zp_im, re_z)),
+        )
+    idx = cauchy_index(acc_re, acc_im)
+    if idx % 2 != 0:
+        raise TilingError("odd Cauchy index: root on the unit circle?")
+    return -idx // 2
 
 
 def float_root_census(coeffs, tol=1e-9):

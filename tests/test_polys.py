@@ -10,14 +10,26 @@ from tilingspectra import TilingError, make_algebraic
 
 from tilingspectra.polys import (
     IntPoly,
-    cauchy_index,
+    chain_count,
     exact_quotient,
     is_squarefree,
     primitive_gcd,
     rational_roots,
     reciprocal,
+    sturm_chain,
     sturm_count,
 )
+
+
+def cauchy_index(den, num):
+    """Cauchy index of num/den over the whole real line.
+
+    Counts jumps of num/den from -inf to +inf minus jumps the other way,
+    via sign variations of the signed remainder sequence.
+    """
+    if not any(den) or not any(num):
+        return 0
+    return chain_count(sturm_chain(den, num), "-inf", "inf")
 
 
 def test_intpoly_strips_and_checks():

@@ -4,10 +4,13 @@ import threading
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 import sympy
 
-from tilingspectra import TilingError
+from tilingspectra import TilingError, intlattice
+from tilingspectra import returns
+from tilingspectra.errors import BudgetError
 from tilingspectra.lattice import charpoly, hnf
 from tilingspectra.returns import (
     algebraic_integer_check,
@@ -20,7 +23,7 @@ from tilingspectra.returns import (
     stabilized_module,
     verify_control_point_dynamics,
 )
-from tilingspectra.spectra import dual_basis, eigenvalue_module
+from tilingspectra.spectra import dual_basis, eigenvalue_module, system_module
 from tilingspectra.systemfile import parse_system, serialize_system, system_from_dict
 from tilingspectra.tiles import validate
 
@@ -370,3 +373,164 @@ def test_fft_and_pairwise_difference_paths_agree(grid2, chair, np26, monkeypatch
         assert len(fast) == len(set(fast))
         assert set(fast) == slow
     assert any(fft_taken)
+
+
+# ---------------------------------------------------------------------------
+# stepped sampling: stabilized_module grows once and steps the patches
+
+GRID2_PLAIN = TRIBONACCI.parent / "grid2-plain.json"
+
+
+@pytest.fixture(scope="module")
+def seven(systems):
+    """The five corpus systems, tribonacci and grid2 without its periods."""
+    extra = {"tribonacci": parse_system(TRIBONACCI), "grid2-plain": parse_system(GRID2_PLAIN)}
+    return {**systems, **extra}
+
+
+def assert_steps_match_growth(system, label, rows_until=6):
+    """Patches grown at depth 2 and then stepped once per depth up to 6
+    equal grow_lattice from depth 0, and up to `rows_until` give the rows
+    of _return_rows."""
+    form = system.lattice_form()
+    patches = [system.grow_lattice(tid, 2) for tid in system.order]
+    for depth in range(2, 7):
+        if depth > 2:
+            patches = [returns._step(form, *patch) for patch in patches]
+        for tid, (types, coords, den, *bound) in zip(system.order, patches):
+            grown = system.grow_lattice(tid, depth)
+            # the carried bound, which keeps a step in int64, must hold
+            assert not bound or bound[0] >= intlattice.abs_max(coords), (label, tid, depth)
+            assert np.array_equal(types, grown[0]), (label, tid, depth)
+            assert np.array_equal(coords, grown[1]), (label, tid, depth)
+            assert den == grown[2], (label, tid, depth)
+        if depth <= rows_until:
+            rows, den = returns._patch_returns(system, patches)
+            expected, expected_den = returns._return_rows(system, depth)
+            assert np.array_equal(rows, expected) and den == expected_den, (label, depth)
+
+
+def test_stepped_patches_match_growth(seven):
+    for name, system in seven.items():
+        assert_steps_match_growth(system, name)
+
+
+def test_stepped_patches_match_growth_in_python_ints(seven, monkeypatch):
+    """Object arrays throughout; the returns, n^2 Python-int differences
+    per type group, are compared up to depth 4."""
+    monkeypatch.setattr(intlattice, "INT64_LIMIT", 2)
+    for name, system in seven.items():
+        fresh = system_from_dict(serialize_system(system))
+        assert fresh.grow_lattice(fresh.order[0], 2)[1].dtype == object, name
+        assert_steps_match_growth(fresh, name, rows_until=4)
+
+
+def lattice_key(module):
+    return (module.denominator, tuple(map(tuple, module.hnf_rows)))
+
+
+def reference_stabilized_module(system, start_depth=2, max_depth=6):
+    """The depth loop as it was: each depth enumerated from depth 0 and
+    given a module of its own."""
+    prev = None
+    for depth in range(start_depth, max_depth + 1):
+        sample = enumerate_returns(system, depth)
+        if not len(sample):
+            continue
+        module = group_basis(sample, system.field)
+        if prev is not None and lattice_key(module) == lattice_key(prev):
+            module.stabilized = True
+            return module
+        prev = module
+    if prev is None:
+        raise TilingError("no return vectors found up to the maximum depth")
+    return prev
+
+
+def test_stabilized_module_matches_depth_loop(seven):
+    cases = [(2, 6), (2, 2), (2, 3), (3, 4), (1, 6)]
+    seen_unstabilized = set()
+    for name, system in seven.items():
+        for start, stop in cases:
+            got = stabilized_module(system, start, stop)
+            expected = reference_stabilized_module(system, start, stop)
+            label = (name, start, stop)
+            assert got.serialize() == expected.serialize(), label
+            assert lattice_key(got) == lattice_key(expected), label
+            assert got.stabilized == expected.stabilized, label
+            assert got.sample_depth == expected.sample_depth, label
+            if not got.stabilized:
+                seen_unstabilized.add(name)
+    # fibonacci stabilizes at depth 4 and tribonacci at 5: max_depth 3 stops short
+    assert {"fibonacci", "tribonacci"} <= seen_unstabilized
+    with pytest.raises(TilingError, match="no return vectors found up to the maximum depth"):
+        stabilized_module(seven["fibonacci"], 0, 0)
+    with pytest.raises(TilingError, match="no return vectors found up to the maximum depth"):
+        stabilized_module(seven["fibonacci"], 4, 3)
+
+
+def dilation_system(n):
+    """The unit interval cut into n unit tiles: theta = n, one prototile."""
+    return system_from_dict({
+        "name": f"dilation{n}",
+        "dimension": 1,
+        "theta": {"minpoly": [-n, 1], "approx": str(n)},
+        "prototiles": [{"id": "a", "support": {"type": "interval", "length": ["1"]}}],
+        "rules": {"a": [{"tile": "a", "offset": [[str(k)]]} for k in range(n)]},
+    })
+
+
+def test_grow_budget_refuses_a_step_before_building_it(monkeypatch):
+    """Depth 2 of a dilation by 700 has 490,000 tiles: the step is refused
+    with grow_lattice's message, before the pair budget is consulted and
+    before any substitution builds the patch."""
+    system = dilation_system(700)
+    steps = []
+    real = returns.substitute
+
+    def spy(*args, **kwargs):
+        steps.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(returns, "substitute", spy)
+    with pytest.raises(BudgetError) as info:
+        stabilized_module(system, start_depth=1)
+    assert str(info.value) == "grow would produce more than 400000 tiles"
+    assert not steps
+    with pytest.raises(BudgetError) as info:
+        system.grow_lattice("a", 2)
+    assert str(info.value) == "grow would produce more than 400000 tiles"
+
+
+def test_kenyon_reuses_the_module_sample(seven, monkeypatch):
+    calls = []
+    real = returns._return_rows
+
+    def spy(system, depth, *args, **kwargs):
+        calls.append(depth)
+        return real(system, depth, *args, **kwargs)
+
+    for name, system in seven.items():
+        fresh = system_from_dict(serialize_system(system))
+        module = stabilized_module(fresh)
+        depth = module.sample_depth
+        expected = kenyon_basis(fresh, module, depth, enumerate_returns(fresh, depth)).serialize()
+        monkeypatch.setattr(returns, "_return_rows", spy)
+        calls.clear()
+        assert kenyon_basis(fresh, module, depth).serialize() == expected, name
+        assert calls == [], name
+        other = kenyon_basis(fresh, module, depth - 1)
+        assert calls == [depth - 1], name
+        monkeypatch.setattr(returns, "_return_rows", real)
+        assert other.serialize() == kenyon_basis(fresh, module, depth - 1, enumerate_returns(fresh, depth - 1)).serialize(), name
+
+
+def test_module_sample_rows_are_read_only(fib):
+    module = system_module(fib)
+    rows, den = module._sample
+    assert den == fib.lattice_form().den
+    assert len(rows) and not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1
+    assert "_sample" not in module.serialize()
+    assert "_sample" not in repr(module)
