@@ -125,6 +125,8 @@ def _vector_arg(system, text: str, label: str):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SystemFileError(f"{label} is not valid JSON: {exc.msg}", label) from None
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise SystemFileError("JSON nested too deeply", label) from None
     where = _boolean_at(data, label)
     if where:  # Python reads JSON true as 1, a coordinate the user never wrote
         raise SystemFileError("expected 'p/q' strings or integers, got a boolean", where)
@@ -151,14 +153,16 @@ def _vector_arg(system, text: str, label: str):
 
 
 def _boolean_at(data, path: str):
-    """The path of the first JSON boolean in data, a JSON value, or None."""
-    if isinstance(data, bool):
-        return path
-    if isinstance(data, list):
-        for k, item in enumerate(data):
-            found = _boolean_at(item, f"{path}[{k}]")
-            if found:
-                return found
+    """The path of the first JSON boolean in data, a JSON value, or None;
+    depth-first without recursion, so any nesting the decoder accepts is
+    walked."""
+    stack = [(data, path)]
+    while stack:
+        item, where = stack.pop()
+        if isinstance(item, bool):
+            return where
+        if isinstance(item, list):
+            stack.extend((x, f"{where}[{k}]") for k, x in reversed(list(enumerate(item))))
     return None
 
 

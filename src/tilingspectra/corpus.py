@@ -31,7 +31,3 @@ def load(name: str):
     """Parse and validate a bundled system by name."""
     with resources.as_file(corpus_path(name)) as p:
         return parse_system(p)
-
-
-def load_all():
-    return {name: load(name) for name in NAMES}

@@ -40,21 +40,19 @@ def sorted_by_value(items, vec_of, pre_key=None):
         keys = [pre_key(it) for it in items]
         rank = {k: r for r, k in enumerate(sorted(set(keys)))}
         groups = np.array([rank[k] for k in keys], dtype=np.int64)
-    perm = value_order(vecs[0].field, coords, den, groups, vecs.__getitem__)
+    perm = value_order(vecs[0].field, coords, den, groups)
     return [items[i] for i in perm.tolist()]
 
 
-def value_order(field, coords, den, groups=None, exact_vec=None):
+def value_order(field, coords, den, groups=None):
     """Index array of the rows of coords / den in exact (group, value)
-    order; stable for equal vectors.  `exact_vec(i)` gives row i as a
-    QThetaVec for the exact fallback (built from the row by default)."""
+    order; stable for equal vectors."""
     n = len(coords)
     if groups is None:
         groups = np.zeros(n, dtype=np.int64)
-    if exact_vec is None:
 
-        def exact_vec(i):
-            return vectors(field, coords[i : i + 1], den)[0]
+    def exact_vec(i):  # row i as a QThetaVec, for the exact fallback
+        return vectors(field, coords[i : i + 1], den)[0]
 
     def sorted_by(key):
         return np.array(sorted(range(n), key=lambda i: (int(groups[i]), key(i))), dtype=np.intp)

@@ -226,12 +226,6 @@ def interval_horner(p, a, b, m):
 # structural checks used by AlgebraicReal construction
 
 
-def is_squarefree(p: IntPoly) -> bool:
-    """The last element of the Sturm chain (p, p') is gcd(p, p') up to a
-    constant, and p is square-free iff that element is a constant."""
-    return len(sturm_chain(p.coeffs, derivative(p.coeffs))[-1]) == 1
-
-
 def rational_roots(p: IntPoly, chain=None):
     """All rational roots, exact and sorted.
 

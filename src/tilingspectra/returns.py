@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetError, TilingError
-from .field import NumberField, QThetaVec
+from .field import NumberField
 from .intlattice import (
     abs_max,
     embed,
@@ -38,7 +38,6 @@ from .intlattice import (
     reduce_rows,
     rows_in,
     span_rank,
-    substitute,
     theta_matrix,
     unique_keys,
     unpack,
@@ -47,7 +46,7 @@ from .intlattice import (
 )
 from .lattice import charpoly, field_solve
 from .ordering import value_order
-from .tiles import DEFAULT_GROW_BUDGET, SubstitutionSystem
+from .tiles import SubstitutionSystem
 
 DEFAULT_PAIR_BUDGET = 40_000_000
 _FFT_CELL_BUDGET = 30_000_000
@@ -59,24 +58,18 @@ class ReturnSample:
     depth: int
     vectors: list  # QThetaVec, deduplicated, canonical order
     dimension: int
-    # integer form of `vectors` (see `intlattice`); embedded when omitted
-    coords: object = dc_field(default=None, repr=False, compare=False)
-    den: int = dc_field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.coords is None:
-            self.coords, self.den = embed(self.vectors)
+    # integer form of `vectors` (see `intlattice`)
+    coords: object = dc_field(repr=False, compare=False)
+    den: int = dc_field(repr=False, compare=False)
 
     def __len__(self):
         return len(self.vectors)
 
 
-def enumerate_returns(
-    system: SubstitutionSystem, depth: int, budget: int = DEFAULT_PAIR_BUDGET
-) -> ReturnSample:
+def enumerate_returns(system: SubstitutionSystem, depth: int) -> ReturnSample:
     """All pairwise difference vectors between same-type tiles within
     omega^depth of each prototile; exact, deduplicated, both signs."""
-    rows, den = _return_rows(system, depth, budget)
+    rows, den = _return_rows(system, depth)
     rows = rows[value_order(system.field, rows, den)]
     return ReturnSample(
         depth=depth,
@@ -87,18 +80,19 @@ def enumerate_returns(
     )
 
 
-def _return_rows(system: SubstitutionSystem, depth: int, budget: int = DEFAULT_PAIR_BUDGET):
+def _return_rows(system: SubstitutionSystem, depth: int):
     """(rows, den): the returns of `enumerate_returns` in integer form
     (see `intlattice`), in lexicographic order of the rows."""
     if depth < 0:
         raise TilingError("depth must be nonnegative")
-    return _patch_returns(system, (system.grow_lattice(tid, depth) for tid in system.order), budget)
+    return _patch_returns(system, (system.grow_lattice(tid, depth) for tid in system.order))
 
 
-def _patch_returns(system: SubstitutionSystem, patches, budget: int = DEFAULT_PAIR_BUDGET):
+def _patch_returns(system: SubstitutionSystem, patches):
     """(rows, den): the nonzero differences of same-type tiles within each
     of the patches (types, coords, den, ...), all over the form's den, as
-    `grow_lattice` and `_step` keep it.
+    `grow_lattice` and `step_lattice` keep it.  More than
+    DEFAULT_PAIR_BUDGET pairs raise BudgetError.
 
     Every difference is packed into one integer key (see
     `intlattice.pack`) under one mixed radix, wide enough for the largest
@@ -116,8 +110,8 @@ def _patch_returns(system: SubstitutionSystem, patches, budget: int = DEFAULT_PA
             if n < 2:
                 continue
             pair_count += n * (n - 1)
-            if pair_count > budget:
-                raise BudgetError(f"return enumeration exceeds pair budget {budget}")
+            if pair_count > DEFAULT_PAIR_BUDGET:
+                raise BudgetError(f"return enumeration exceeds pair budget {DEFAULT_PAIR_BUDGET}")
             groups.append(offsets)
     if not groups:
         return np.zeros((0, width), dtype=np.int64), den
@@ -214,9 +208,9 @@ class ReturnModule:
     stabilized: bool
     dimension: int
     M: object = dc_field(default=None)
-    # (rows, den) of the sample at sample_depth, read-only, as
-    # `_return_rows` gives it; kept by `stabilized_module` only
-    _sample: tuple = dc_field(default=None, repr=False, compare=False)
+    # the number of returns sampled at sample_depth, whose rows the
+    # generators are the Hermite basis of; set by `stabilized_module` only
+    sample_size: int = dc_field(default=None, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -229,10 +223,6 @@ class ReturnModule:
         field = self.generators[0].field
         rows = int_array(self.hnf_rows, len(self.hnf_rows[0]))
         return span_rank(field, rows) == self.dimension
-
-    def member_coordinates(self, v: QThetaVec):
-        """Integer coordinates of v in the Z-span, or None."""
-        return self._coordinates(*embed_rows([v]))[0]
 
     def _coordinates(self, rows, den: int):
         """Per row of rows / den (integer form, see `intlattice`): its
@@ -299,39 +289,29 @@ def stabilized_module(
     Every prototile is grown once, at the first depth; each further depth
     is one substitution step of the patches of the depth before.  Depths
     are compared on their (denominator, HNF rows), and only the module
-    returned gets its generator vectors.  It keeps the integer rows of
-    its last sample, read-only, for `kenyon_basis` at its depth."""
-    form = system.lattice_form()
+    returned gets its generator vectors.  It records how many returns
+    its last sample held, which `kenyon_basis` at its depth reports."""
     patches, last, stabilized = None, None, False
     for depth in range(start_depth, max_depth + 1):
         if patches is None:
             patches = [system.grow_lattice(tid, depth) for tid in system.order]
         else:
-            patches = [_step(form, *patch) for patch in patches]
+            patches = [system.step_lattice(*patch) for patch in patches]
         rows, den = _patch_returns(system, patches)
         if not len(rows):
             continue
         key = _basis_of(rows, den)
         stabilized = last is not None and key == last[0]
-        last = key, depth, rows, den
+        last = key, depth, rows.shape
         if stabilized:
             break
     if last is None:
         raise TilingError("no return vectors found up to the maximum depth")
-    key, depth, rows, den = last
-    module = _module_of(system.field, key, rows.shape[1], depth, system.dimension)
+    key, depth, (size, width) = last
+    module = _module_of(system.field, key, width, depth, system.dimension)
     module.stabilized = stabilized
-    rows.setflags(write=False)
-    module._sample = rows, den
+    module.sample_size = size
     return module
-
-
-def _step(form, types, coords, den, bound=None):
-    """`intlattice.substitute` of one patch, refused as `grow_lattice`
-    refuses a patch of more than DEFAULT_GROW_BUDGET tiles."""
-    if int(form.child_count[types].sum()) > DEFAULT_GROW_BUDGET:
-        raise BudgetError(f"grow would produce more than {DEFAULT_GROW_BUDGET} tiles")
-    return substitute(form, types, coords, den, bound)
 
 
 def phi_action(module: ReturnModule, system: SubstitutionSystem):
@@ -372,10 +352,9 @@ class ControlPointSet:
     points: dict  # tid -> QThetaVec
     child_index: dict  # tid -> int
     child_type: dict  # tid -> tid
-    child_offset: dict  # tid -> QThetaVec
 
     def __post_init__(self):  # read-only views, so a shared set stays as built
-        for name in ("points", "child_index", "child_type", "child_offset"):
+        for name in ("points", "child_index", "child_type"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     def serialize(self):
@@ -434,7 +413,6 @@ def _build_controls(system: SubstitutionSystem) -> Controls:
         points=dict(zip(order, vectors(field, *points))),
         child_index={tid: k for tid, (k, _) in gamma.items()},
         child_type={tid: child.proto for tid, (_, child) in gamma.items()},
-        child_offset={tid: child.offset for tid, (_, child) in gamma.items()},
     )
     found = _spanning_differences(system, points)
     if found is None:
@@ -463,34 +441,15 @@ def verify_control_point_dynamics(system, cps: ControlPointSet, depth: int) -> b
     """phi(control points of omega^depth) land on control points of
     omega^(depth+1), for every prototile."""
     points = embed([cps.points[tid] for tid in system.order])
-    form = system.lattice_form()
+    theta = system.lattice_form().theta
     for tid in system.order:
-        # both over one denominator: grow_lattice and _step keep the form's
+        # both over one denominator: grow_lattice and step_lattice keep the form's
         patch = system.grow_lattice(tid, depth)
         here, _ = _control_rows(points, *patch)
-        there, _ = _control_rows(points, *_step(form, *patch)[:3])
-        if not rows_in(matmul(here, form.theta), there):
+        there, _ = _control_rows(points, *system.step_lattice(*patch)[:3])
+        if not rows_in(matmul(here, theta), there):
             return False
     return True
-
-
-def control_point_iteration_error(system, cps: ControlPointSet, steps: int = 20):
-    """Float distance between c_j and theta^-n * (offset of the n-fold
-    tile-map child), the numeric contraction view of the definition."""
-    theta = system.theta_elem()
-    field = system.field
-    errors = {}
-    for tid in system.order:
-        cur_tid, offset = tid, system.zero_vec()
-        for _ in range(steps):
-            _, child = system.gamma(cur_tid)
-            offset = offset.scale(theta) + child.offset
-            cur_tid = child.proto
-        inv = field.one() / (theta**steps)
-        approx = offset.scale(inv)
-        diff = approx - cps.points[tid]
-        errors[tid] = max(abs(float(e)) for e in diff.entries)
-    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +478,6 @@ class KenyonBasis:
             prod = prod.astype(object)
         return (prod % modulus == 0).all(axis=1)
 
-    def has_integer_coordinates(self, v: QThetaVec) -> bool:
-        return bool(self.integral_rows(*embed([v]))[0])
-
     def serialize(self):
         return {
             "basis": [b.serialize() for b in self.basis],
@@ -531,21 +487,17 @@ class KenyonBasis:
         }
 
 
-def kenyon_basis(
-    system: SubstitutionSystem,
-    module: ReturnModule,
-    depth: int,
-    sample: ReturnSample = None,
-) -> KenyonBasis:
+def kenyon_basis(system: SubstitutionSystem, module: ReturnModule, depth: int) -> KenyonBasis:
     """Basis {b_j} of R^d with all sampled returns in Z[theta]-span.
 
     Seeds e_j are the first control-point differences (canonical patch
     order) of full rank, found once per system; the module generators'
     coordinates over the seeds are Q(theta) elements, whose rational
     denominators are cleared into the basis b_j = e_j / D.  Every vector
-    sampled at `depth` is then verified to have integer power-basis
-    coordinates (pass `sample` to reuse an existing enumeration at that
-    depth).
+    sampled at `depth` has integer power-basis coordinates: at the depth
+    of a `stabilized_module`, by construction, and at any other depth, or
+    for a module from `group_basis`, as verified on the enumerated
+    returns.
     """
     field = system.field
     _, seeds, seed_map = _controls(system)
@@ -568,12 +520,13 @@ def kenyon_basis(
         verified_count=0,
         coordinate_map=(_times(T, den // g), L // g),
     )
-    if sample is not None and sample.depth == depth:
-        rows, rows_den = sample.coords, sample.den
-    elif module._sample is not None and module.sample_depth == depth:
-        rows, rows_den = module._sample
-    else:
-        rows, rows_den = _return_rows(system, depth)
+    if module.sample_size is not None and depth == module.sample_depth:
+        # the generators are the Hermite basis of exactly the rows sampled
+        # here, so each row is an integer combination of them; den makes
+        # every generator's coordinates integral, hence every row's
+        kb.verified_count = module.sample_size
+        return kb
+    rows, rows_den = _return_rows(system, depth)
     ok = kb.integral_rows(rows, rows_den)
     if not ok.all():
         bad = rows[~ok]

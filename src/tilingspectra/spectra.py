@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .errors import TilingError
 from .field import QThetaElem, QThetaVec
@@ -122,12 +121,7 @@ class Eig1Result:
     reports: list
 
 
-def check_eig1(
-    system: SubstitutionSystem,
-    alpha: Alpha,
-    module: ReturnModule,
-    budget: int = None,
-) -> Eig1Result:
+def check_eig1(system: SubstitutionSystem, alpha: Alpha, module: ReturnModule) -> Eig1Result:
     """Phase convergence along dilation powers, on the group generators.
 
     The condition dist(theta^n x, Z) -> 0 is closed under integer
@@ -138,10 +132,9 @@ def check_eig1(
     cert = system_pisot(system)
     reports = []
     if cert.pisot:
-        kwargs = {"budget": budget} if budget else {}
         for v in module.generators:
             x = alpha.pairing(v)
-            rep = dist_to_int_limit(x, **kwargs)
+            rep = dist_to_int_limit(x)
             reports.append(
                 GeneratorReport(v, x, rep.eventually_integer, trace_report=rep)
             )
@@ -375,7 +368,7 @@ def weak_mixing(system: SubstitutionSystem) -> SpectralVerdict:
 
 
 # ---------------------------------------------------------------------------
-# convergence diagnostics and eigenfunction evaluation
+# convergence diagnostics
 
 
 @dataclass
@@ -449,15 +442,3 @@ def exact_dist_sequence(x: QThetaElem, steps: int):
         out.append(dist_to_int(cur))
         cur = cur * g
     return out
-
-
-def eval_eigenfunction(alpha: Alpha, x: QThetaVec):
-    """e^(2 pi i <x, alpha>) as a (cos, sin) pair; phase error < 1e-12."""
-    phase_elem = alpha.pairing(x)
-    if phase_elem.is_rational():
-        frac = phase_elem.coeffs[0] % 1
-    else:
-        lo, hi = phase_elem.interval(Fraction(1, 10**14))
-        frac = ((lo + hi) / 2) % 1
-    angle = 2.0 * math.pi * float(frac)
-    return (math.cos(angle), math.sin(angle))

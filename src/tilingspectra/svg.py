@@ -1,9 +1,9 @@
 """Deterministic SVG rendering of patches.
 
-Output bytes are a pure function of the patch, the render options and the
-float precision: vertices are emitted with a fixed significant-digit
-format, colors come from a fixed palette keyed by prototile order, and
-nothing depends on dict iteration or timestamps.
+Output bytes are a pure function of the patch and the scale: vertices
+are emitted with a fixed significant-digit format, colors come from a
+fixed palette keyed by prototile order, and nothing depends on dict
+iteration or timestamps.
 """
 
 from __future__ import annotations
@@ -24,21 +24,15 @@ PALETTE = (
     "#b07aa1",
     "#9c755f",
 )
+_STROKE = "#222222"
+_STROKE_WIDTH = 0.06  # in tile units, scaled with the drawing
+_PRECISION = 15  # significant digits of every emitted number
 
 
 @dataclass
 class RenderSpec:
     out_path: str
-    colors: tuple = ()  # overrides the palette, keyed by prototile order
-    stroke: str = "#222222"
-    stroke_width: float = 0.06
     scale: float = 40.0
-    precision: int = 15
-
-    def color_for(self, index: int) -> str:
-        if self.colors:
-            return self.colors[index % len(self.colors)]
-        return PALETTE[index % len(PALETTE)]
 
 
 def render_svg(system: SubstitutionSystem, patch: Patch, spec: RenderSpec) -> bytes:
@@ -57,8 +51,8 @@ def render_svg(system: SubstitutionSystem, patch: Patch, spec: RenderSpec) -> by
     return data
 
 
-def _fmt(value: float, precision: int) -> str:
-    out = format(value, f".{precision}g")
+def _fmt(value: float) -> str:
+    out = format(value, f".{_PRECISION}g")
     return "0" if out == "-0" else out
 
 
@@ -86,26 +80,25 @@ def _render_body(system, patch, spec) -> str:
     else:
         minx = miny = 0.0
         maxx = maxy = 1.0
-    pad = 2.0 * spec.stroke_width * s
+    pad = 2.0 * _STROKE_WIDTH * s
     width = (maxx - minx) * s + 2 * pad
     height = (maxy - miny) * s + 2 * pad
 
     def tx(p):
         return (p[0] - minx) * s + pad, (maxy - p[1]) * s + pad
 
-    fmt = lambda v: _fmt(v, spec.precision)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{fmt(width)}" height="{fmt(height)}" '
-        f'viewBox="0 0 {fmt(width)} {fmt(height)}">',
+        f'width="{_fmt(width)}" height="{_fmt(height)}" '
+        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
     ]
-    sw = fmt(spec.stroke_width * s)
+    sw = _fmt(_STROKE_WIDTH * s)
     for color_idx, poly in shapes:
-        coords = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in (tx(p) for p in poly))
+        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (tx(p) for p in poly))
         lines.append(
-            f'<polygon points="{coords}" fill="{spec.color_for(color_idx)}" '
-            f'stroke="{spec.stroke}" stroke-width="{sw}"/>'
+            f'<polygon points="{coords}" fill="{PALETTE[color_idx % len(PALETTE)]}" '
+            f'stroke="{_STROKE}" stroke-width="{sw}"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -44,6 +44,8 @@ def read_system(path) -> SubstitutionSystem:
         raise SystemFileError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise SystemFileError("JSON nested too deeply") from None
     return system_from_dict(data)
 
 

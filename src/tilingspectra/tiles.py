@@ -34,7 +34,6 @@ from .geometry import (
 )
 from .intlattice import (
     LatticeForm,
-    embed,
     embed_rows,
     int_array,
     lattice_form,
@@ -113,16 +112,6 @@ class Patch:
 
     def __iter__(self):
         return iter(self.tiles)
-
-    def translated(self, g: QThetaVec) -> "Patch":
-        # translation preserves the canonical order
-        return Patch([PlacedTile(t.proto, t.offset + g) for t in self.tiles], presorted=True)
-
-    def type_counts(self, order):
-        counts = {k: 0 for k in order}
-        for t in self.tiles:
-            counts[t.proto] += 1
-        return [counts[k] for k in order]
 
     def serialize(self):
         return [{"tile": t.proto, "offset": t.offset.serialize()} for t in self.tiles]
@@ -224,24 +213,26 @@ class SubstitutionSystem:
             )
         return form
 
-    def grow(self, tid: str, n: int, budget: int = DEFAULT_GROW_BUDGET) -> Patch:
+    def grow(self, tid: str, n: int) -> Patch:
         """The n-fold substitution of prototile `tid`, exact coordinates."""
-        return self._patch_of(*self.grow_lattice(tid, n, budget))
+        return self._patch_of(*self.grow_lattice(tid, n))
 
-    def grow_lattice(self, tid: str, n: int, budget: int = DEFAULT_GROW_BUDGET):
+    def grow_lattice(self, tid: str, n: int):
         """(types, coords, den) of the n-fold substitution of `tid`,
         unsorted: tile i has prototile self.order[types[i]] at offset
-        coords[i] / den."""
+        coords[i] / den.  More than DEFAULT_GROW_BUDGET tiles raise
+        BudgetError before any is built."""
         if tid not in self.prototiles:
             raise TilingError(f"unknown prototile {tid!r}")
         if n < 0:
             raise TilingError("depth must be nonnegative")
+        budget = DEFAULT_GROW_BUDGET
         # counts capped at budget + 1: the total is exact up to the budget
         power = int_matrix_power(self.substitution_matrix(), n, cap=budget + 1)
         j = self.order.index(tid)
         total = sum(row[j] for row in power)
         if total > budget:
-            raise BudgetError(f"grow would produce more than {budget} tiles")
+            raise _over_grow_budget()
         form = self.lattice_form()
         types = np.array([j], dtype=np.int64)
         coords = np.zeros((1, form.theta.shape[0]), dtype=np.int64)
@@ -251,14 +242,15 @@ class SubstitutionSystem:
         assert len(types) == total
         return types, coords, den
 
-    def substitute_patch(self, patch: Patch) -> Patch:
-        """One substitution step applied to an arbitrary patch."""
-        index = {tid: i for i, tid in enumerate(self.order)}
-        types = np.array([index[t.proto] for t in patch], dtype=np.int64)
-        coords, den = embed([t.offset for t in patch])
-        if not len(types):
-            coords = np.zeros((0, self.lattice_form().theta.shape[0]), dtype=np.int64)
-        return self._patch_of(*substitute(self.lattice_form(), types, coords, den)[:3])
+    def step_lattice(self, types, coords, den, bound=None):
+        """`intlattice.substitute` of one integer-form patch, bound and
+        all, refused as `grow_lattice` refuses more than
+        DEFAULT_GROW_BUDGET tiles: on the exact child count, before the
+        step is built."""
+        form = self.lattice_form()
+        if int(form.child_count[types].sum()) > DEFAULT_GROW_BUDGET:
+            raise _over_grow_budget()
+        return substitute(form, types, coords, den, bound)
 
     def _patch_of(self, types, coords, den) -> Patch:
         """The Patch, in canonical order, of an integer-form tile set."""
@@ -278,6 +270,10 @@ class SubstitutionSystem:
     def tile_polygon(self, t: PlacedTile) -> Polygon:
         sup = self.prototiles[t.proto].support
         return sup.translated(t.offset)
+
+
+def _over_grow_budget() -> BudgetError:
+    return BudgetError(f"grow would produce more than {DEFAULT_GROW_BUDGET} tiles")
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +437,8 @@ def _rowmul(row, mat):
     return tuple(sum(x * c for x, c in zip(row, col)) for col in zip(*mat))
 
 
-def _validate_periods(system, rep, shapes, den, depth: int = 3):
+def _validate_periods(system, rep, shapes, den):
+    depth = 3  # every period is checked inside omega^depth of each prototile
     for g in system.declared_periods:
         if g.is_zero():
             rep.add("periods", False, "zero vector declared as a period")
@@ -575,17 +572,18 @@ def perron_check(system: SubstitutionSystem):
     }
 
 
-def tile_frequencies(mat, tol: float = 1e-12, max_iter: int = 100000):
-    """Normalized right Perron eigenvector by plain power iteration."""
+def tile_frequencies(mat):
+    """Normalized right Perron eigenvector by plain power iteration, to
+    within 1e-12 in 100,000 steps."""
     m = len(mat)
     x = [1.0 / m] * m
-    for _ in range(max_iter):
+    for _ in range(100_000):
         y = [sum(mat[i][j] * x[j] for j in range(m)) for i in range(m)]
         s = sum(y)
         if s == 0:
             raise TilingError("matrix annihilated the iterate; not primitive?")
         y = [v / s for v in y]
-        if max(abs(a - b) for a, b in zip(x, y)) < tol:
+        if max(abs(a - b) for a, b in zip(x, y)) < 1e-12:
             return tuple(y)
         x = y
     raise TilingError("power iteration did not converge")

@@ -19,6 +19,7 @@ from .errors import UndecidedError
 from .field import QThetaElem
 
 DEFAULT_STATE_BUDGET = 10**6
+_DIST_PRECISION = Fraction(1, 10**25)
 
 
 def trace(x: QThetaElem) -> Fraction:
@@ -100,8 +101,8 @@ def dist_to_int_limit(x: QThetaElem, budget: int = DEFAULT_STATE_BUDGET) -> Trac
     return TraceSequenceReport(x, denom, pre, period, on_cycle_zero)
 
 
-def dist_to_int(x: QThetaElem, precision=Fraction(1, 10**25)) -> Fraction:
-    """dist(x, Z) as a rational approximation with error below `precision`.
+def dist_to_int(x: QThetaElem) -> Fraction:
+    """dist(x, Z) as a rational approximation with error below 1e-25.
 
     Exact power-basis coordinates plus interval refinement of theta; never
     floating powers (theta^n overflows doubles long before diagnostics end).
@@ -110,7 +111,7 @@ def dist_to_int(x: QThetaElem, precision=Fraction(1, 10**25)) -> Fraction:
         f = x.coeffs[0]
         frac = f - f.__floor__()
         return min(frac, 1 - frac)
-    lo, hi = x.interval(precision)
+    lo, hi = x.interval(_DIST_PRECISION)
     mid = (lo + hi) / 2
     nearest = Fraction(round(mid))
     return abs(mid - nearest)

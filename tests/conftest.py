@@ -5,7 +5,7 @@ from tilingspectra import corpus
 
 @pytest.fixture(scope="session")
 def systems():
-    return corpus.load_all()
+    return {name: corpus.load(name) for name in corpus.NAMES}
 
 
 @pytest.fixture(scope="session")

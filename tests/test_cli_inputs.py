@@ -4,6 +4,8 @@ import copy
 import io
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -182,7 +184,13 @@ def test_render_rejects_bad_scale(tmp_path, scale):
 @pytest.mark.parametrize("flag", ["alpha", "z"])
 @pytest.mark.parametrize(
     "text,where",
-    [("true", ""), ("[true]", "[0]"), ("[[true]]", "[0][0]"), ('[["1", false]]', "[0][1]")],
+    [
+        ("true", ""),
+        ("[true]", "[0]"),
+        ("[[true]]", "[0][0]"),
+        ('[["1", false]]', "[0][1]"),
+        ("[" * 300 + "true" + "]" * 300, "[0]" * 300),
+    ],
 )
 def test_vector_arguments_reject_booleans(name, flag, text, where):
     """JSON true is no coordinate, though Python reads it as 1."""
@@ -197,3 +205,37 @@ def test_vector_arguments_reject_booleans(name, flag, text, where):
     message = f"{flag}{where}: expected 'p/q' strings or integers, got a boolean"
     assert json.loads(out.getvalue())["error"] == message
     assert "Traceback" not in err.getvalue()
+
+
+def deep_nesting_argv(tmp_path, command, levels):
+    """(argv, message) of a command given `levels` nested JSON lists."""
+    text = "[" * levels + "]" * levels
+    path = str(corpus_path("tm"))
+    if command == "validate":
+        target = tmp_path / "deep.json"
+        target.write_text(text, encoding="utf-8")
+        return ["validate", str(target)], "JSON nested too deeply"
+    if command == "eigen check":
+        return ["eigen", "check", path, f"--alpha={text}"], "alpha: JSON nested too deeply"
+    argv = ["converge", path, "--alpha", '"1/3"', "--steps", "4", f"--z={text}"]
+    return argv, "z: JSON nested too deeply"
+
+
+@pytest.mark.parametrize("levels", [3_000, 100_000])
+@pytest.mark.parametrize("command", ["validate", "eigen check", "converge --z"])
+def test_deeply_nested_json_is_an_error(tmp_path, command, levels):
+    """The JSON decoder recurses once per level; past the recursion limit
+    that is a bad input, not a traceback."""
+    argv, message = deep_nesting_argv(tmp_path, command, levels)
+    out, err = io.StringIO(), io.StringIO()
+    assert cli_dispatch(argv, stdout=out, stderr=err) == 1
+    assert out.getvalue() == json.dumps({"error": message}) + "\n"
+    assert err.getvalue() == f"error: {message}\n"
+
+
+def test_deeply_nested_json_is_an_error_in_a_fresh_process(tmp_path):
+    argv, message = deep_nesting_argv(tmp_path, "eigen check", 3_000)
+    proc = subprocess.run([sys.executable, "-m", "tilingspectra", *argv], capture_output=True)
+    assert proc.returncode == 1
+    assert proc.stdout.decode() == json.dumps({"error": message}) + "\n"
+    assert proc.stderr.decode() == f"error: {message}\n"

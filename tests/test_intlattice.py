@@ -20,6 +20,7 @@ from tilingspectra import (
     intlattice,
     make_algebraic,
 )
+from tilingspectra import returns
 from tilingspectra.field import QThetaElem
 from tilingspectra.lattice import hnf
 from tilingspectra.ordering import value_order
@@ -67,6 +68,17 @@ def reference_grow(system, tid, n):
     return reference_patch(tiles)
 
 
+def substitute_patch(system, patch):
+    """One integer substitution step of an arbitrary patch, whose offsets
+    may have any denominator, as a Patch."""
+    index = {tid: i for i, tid in enumerate(system.order)}
+    types = np.array([index[t.proto] for t in patch], dtype=np.int64)
+    coords, den = intlattice.embed([t.offset for t in patch])
+    if not len(types):
+        coords = np.zeros((0, system.lattice_form().theta.shape[0]), dtype=np.int64)
+    return system._patch_of(*intlattice.substitute(system.lattice_form(), types, coords, den)[:3])
+
+
 def assert_same_patch(got, expected, label):
     assert [t.key() for t in got] == [t.key() for t in expected], label
     assert got.serialize() == expected.serialize(), label
@@ -84,10 +96,11 @@ def test_substitute_translated_patch_with_new_denominator(all_systems):
         K = system.field
         shift = K.vec([K.elem([Fraction(1, 3)] + [Fraction(-2, 7)] * (K.degree - 1))] * system.dimension)
         for tid in system.order:
-            patch = system.grow(tid, 2).translated(shift)
+            # translation keeps the canonical order
+            patch = Patch([PlacedTile(t.proto, t.offset + shift) for t in system.grow(tid, 2)], presorted=True)
             expected = reference_patch(reference_substitute(system, patch.tiles))
-            assert_same_patch(system.substitute_patch(patch), expected, (name, tid))
-    assert len(system.substitute_patch(Patch([]))) == 0
+            assert_same_patch(substitute_patch(system, patch), expected, (name, tid))
+    assert len(substitute_patch(system, Patch([]))) == 0
 
 
 def test_object_fallback_gives_identical_output(all_systems, monkeypatch):
@@ -100,7 +113,7 @@ def test_object_fallback_gives_identical_output(all_systems, monkeypatch):
         expected[name] = (
             system.grow(tid, depth).serialize(),
             [v.serialize() for v in sample.vectors],
-            kenyon_basis(system, stabilized_module(system), depth, sample).serialize(),
+            kenyon_basis(system, stabilized_module(system), depth).serialize(),
         )
     monkeypatch.setattr(intlattice, "INT64_LIMIT", 2)
     for name, system in all_systems.items():
@@ -112,7 +125,7 @@ def test_object_fallback_gives_identical_output(all_systems, monkeypatch):
         got = (
             fresh.grow(tid, depth).serialize(),
             [v.serialize() for v in sample.vectors],
-            kenyon_basis(fresh, stabilized_module(fresh), depth, sample).serialize(),
+            kenyon_basis(fresh, stabilized_module(fresh), depth).serialize(),
         )
         assert got == expected[name], name
         assert verify_control_point_dynamics(fresh, control_points(fresh), 3), name
@@ -130,7 +143,7 @@ def test_one_gather_substitute_in_python_ints_matches_reference(all_systems, mon
                 assert_same_patch(fresh.grow(tid, n), reference_grow(fresh, tid, n), label)
             patch = fresh.grow(tid, 2)
             expected = reference_patch(reference_substitute(fresh, patch.tiles))
-            assert_same_patch(fresh.substitute_patch(patch), expected, (name, tid))
+            assert_same_patch(substitute_patch(fresh, patch), expected, (name, tid))
 
 
 def test_rows_in_checks_the_bounding_box_before_packing():
@@ -294,20 +307,30 @@ def test_value_order_float_inversion_within_bound():
         assert [order[i] for i in value_order(K, coords[order], 1)] == [1, 0]
 
 
-def test_kenyon_rejects_non_integer_coordinates(fib):
+def test_kenyon_rejects_non_integer_coordinates(fib, monkeypatch):
+    """Rows that are no integer combination of the generators, planted at
+    a depth other than the module's sample depth, fail verification."""
     module = stabilized_module(fib)
     K = fib.field
-    sample = ReturnSample(depth=6, vectors=[K.vec([1]), K.vec([Fraction(1, 3)])], dimension=1)
+    depth = module.sample_depth + 2
+    rows, den = intlattice.embed([K.vec([Fraction(1, 3)]), K.vec([1]), K.vec([Fraction(-1, 3)])])
+    planted = []
+
+    def fake(system, at):
+        planted.append(at)
+        return rows, den
+
+    monkeypatch.setattr(returns, "_return_rows", fake)
     message = (
-        "return vector [['1/3', '0']] has non-integer coordinates; "
+        "return vector [['-1/3', '0']] has non-integer coordinates; "
         "unstabilized sample or defect"
     )
     with pytest.raises(TilingError) as info:
-        kenyon_basis(fib, module, depth=6, sample=sample)
+        kenyon_basis(fib, module, depth=depth)
     assert str(info.value) == message
-    kb = kenyon_basis(fib, module, depth=6)
-    assert kb.has_integer_coordinates(K.vec([1]))
-    assert not kb.has_integer_coordinates(K.vec([Fraction(1, 3)]))
+    assert planted == [depth]
+    kb = kenyon_basis(fib, module, depth=module.sample_depth)
+    assert kb.integral_rows(rows, den).tolist() == [False, True, False]
 
 
 def pairwise_returns(system, depth):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 from tilingspectra import trace
+from tilingspectra.intlattice import embed
 from tilingspectra.lattice import charpoly
 from tilingspectra.returns import ReturnSample, group_basis, phi_action
 from tilingspectra.spectra import (
@@ -17,11 +18,14 @@ from tilingspectra.spectra import (
 def test_group_basis_idempotent_on_own_output(systems):
     for name, system in systems.items():
         module = system_module(system)
+        coords, den = embed(module.generators)
         again = group_basis(
             ReturnSample(
                 depth=module.sample_depth,
                 vectors=list(module.generators),
                 dimension=system.dimension,
+                coords=coords,
+                den=den,
             ),
             system.field,
         )

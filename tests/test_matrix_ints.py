@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilingspectra import BudgetError
+from tilingspectra import BudgetError, tiles
 from tilingspectra.lattice import charpoly, int_matrix_power
 
 
@@ -33,16 +33,20 @@ def test_capped_power_is_capped_exact_power(mat, n, cap):
     assert int_matrix_power(mat, n, cap=cap) == [[min(cap, v) for v in row] for row in exact]
 
 
-def test_grow_budget_bounds_the_work(fib, grid2):
+def test_grow_budget_bounds_the_work(fib, grid2, monkeypatch):
     start = time.perf_counter()
     with pytest.raises(BudgetError, match="^grow would produce more than 400000 tiles$"):
         fib.grow("a", 10**9)
     assert time.perf_counter() - start < 0.1
     # the count is exact up to the budget: omega^10(a) has 144 tiles
-    assert len(fib.grow("a", 10, budget=144)) == 144
-    with pytest.raises(BudgetError, match="more than 143 tiles"):
-        fib.grow("a", 10, budget=143)
+    monkeypatch.setattr(tiles, "DEFAULT_GROW_BUDGET", 144)
+    assert len(fib.grow("a", 10)) == 144
+    monkeypatch.setattr(tiles, "DEFAULT_GROW_BUDGET", 143)
+    with pytest.raises(BudgetError, match="^grow would produce more than 143 tiles$"):
+        fib.grow("a", 10)
     # one prototile: its one count alone crosses the budget
-    assert len(grid2.grow("sq", 3, budget=64)) == 64
-    with pytest.raises(BudgetError, match="more than 63 tiles"):
-        grid2.grow("sq", 3, budget=63)
+    monkeypatch.setattr(tiles, "DEFAULT_GROW_BUDGET", 64)
+    assert len(grid2.grow("sq", 3)) == 64
+    monkeypatch.setattr(tiles, "DEFAULT_GROW_BUDGET", 63)
+    with pytest.raises(BudgetError, match="^grow would produce more than 63 tiles$"):
+        grid2.grow("sq", 3)

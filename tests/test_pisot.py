@@ -7,10 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tilingspectra import IntPoly, TilingError, is_pisot, make_algebraic
-from tilingspectra.polys import is_squarefree
 from tilingspectra.pisot import circle_root_count, inside_unit_disc_count
 
-from test_polys import cauchy_index
+from test_polys import cauchy_index, is_squarefree
 
 
 def inside_unit_disc_count_winding(p: IntPoly) -> int:

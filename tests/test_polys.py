@@ -11,14 +11,20 @@ from tilingspectra import TilingError, make_algebraic
 from tilingspectra.polys import (
     IntPoly,
     chain_count,
+    derivative,
     exact_quotient,
-    is_squarefree,
     primitive_gcd,
     rational_roots,
     reciprocal,
     sturm_chain,
     sturm_count,
 )
+
+
+def is_squarefree(p: IntPoly) -> bool:
+    """The last element of the Sturm chain (p, p') is gcd(p, p') up to a
+    constant, and p is square-free iff that element is a constant."""
+    return len(sturm_chain(p.coeffs, derivative(p.coeffs))[-1]) == 1
 
 
 def cauchy_index(den, num):

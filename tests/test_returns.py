@@ -1,4 +1,6 @@
 import dataclasses
+import io
+import json
 import sys
 import threading
 from fractions import Fraction
@@ -9,12 +11,15 @@ import pytest
 import sympy
 
 from tilingspectra import TilingError, intlattice
-from tilingspectra import returns
+from tilingspectra import returns, tiles
+from tilingspectra.cli import cli_dispatch
+from tilingspectra.corpus import corpus_path
 from tilingspectra.errors import BudgetError
+from tilingspectra.intlattice import embed, embed_rows
 from tilingspectra.lattice import charpoly, hnf
 from tilingspectra.returns import (
+    ReturnSample,
     algebraic_integer_check,
-    control_point_iteration_error,
     control_points,
     enumerate_returns,
     group_basis,
@@ -23,11 +28,30 @@ from tilingspectra.returns import (
     stabilized_module,
     verify_control_point_dynamics,
 )
-from tilingspectra.spectra import dual_basis, eigenvalue_module, system_module
+from tilingspectra.spectra import dual_basis, eigenvalue_module
 from tilingspectra.systemfile import parse_system, serialize_system, system_from_dict
 from tilingspectra.tiles import validate
 
 TRIBONACCI = Path(__file__).resolve().parent.parent / "perfbench" / "systems" / "tribonacci.json"
+
+
+def control_point_iteration_error(system, cps, steps: int = 20):
+    """Float distance between c_j and theta^-n * (offset of the n-fold
+    tile-map child), the numeric contraction view of the definition."""
+    theta = system.theta_elem()
+    field = system.field
+    errors = {}
+    for tid in system.order:
+        cur_tid, offset = tid, system.zero_vec()
+        for _ in range(steps):
+            _, child = system.gamma(cur_tid)
+            offset = offset.scale(theta) + child.offset
+            cur_tid = child.proto
+        inv = field.one() / (theta**steps)
+        approx = offset.scale(inv)
+        diff = approx - cps.points[tid]
+        errors[tid] = max(abs(float(e)) for e in diff.entries)
+    return errors
 
 
 def test_depth_zero_is_empty(fib):
@@ -55,11 +79,9 @@ def test_grid_returns_contain_unit_vectors(grid2):
 def test_group_basis_collinear_multiples(fib):
     K = fib.field
     t = K.gen()
-    from tilingspectra.returns import ReturnSample
-
-    sample = ReturnSample(
-        depth=0, vectors=[K.vec([t + 1]), K.vec([(t + 1) * 2])], dimension=1
-    )
+    vecs = [K.vec([t + 1]), K.vec([(t + 1) * 2])]
+    coords, den = embed(vecs)
+    sample = ReturnSample(depth=0, vectors=vecs, dimension=1, coords=coords, den=den)
     module = group_basis(sample, K)
     assert module.rank == 1
     assert module.generators[0].key() == K.vec([t + 1]).key()
@@ -124,8 +146,8 @@ def test_phi_stability_of_sampled_returns(fib):
     t = K.gen()
     module = stabilized_module(fib)
     sample = enumerate_returns(fib, 4)
-    for v in sample.vectors:
-        assert module.member_coordinates(v.scale(t)) is not None
+    coords = module._coordinates(*embed_rows([v.scale(t) for v in sample.vectors]))
+    assert all(c is not None for c in coords)
 
 
 def test_control_points_default_gamma(systems):
@@ -227,7 +249,7 @@ def test_kenyon_basis_fibonacci(fib):
     assert kb.verified_count > 0
     # every sampled return must decompose with Z[theta] coordinates
     sample = enumerate_returns(fib, 6)
-    assert all(kb.has_integer_coordinates(v) for v in sample.vectors)
+    assert kb.integral_rows(sample.coords, sample.den).all()
 
 
 def test_kenyon_basis_np26_needs_denominator(np26):
@@ -235,7 +257,7 @@ def test_kenyon_basis_np26_needs_denominator(np26):
     kb = kenyon_basis(np26, module, depth=4)
     assert kb.denominator > 1  # returns include (theta-1)/2
     sample = enumerate_returns(np26, 4)
-    assert all(kb.has_integer_coordinates(v) for v in sample.vectors)
+    assert kb.integral_rows(sample.coords, sample.den).all()
 
 
 def test_kenyon_basis_grid(grid2):
@@ -271,10 +293,9 @@ def test_member_coordinates_round_trip(systems):
         v = gens[0].scale(system.field.rational(coeffs[0]))
         for c, g in zip(coeffs[1:], gens[1:]):
             v = v + g.scale(system.field.rational(c))
-        assert module.member_coordinates(v) == coeffs, system.name
         # half of a basis vector is in the Q-span but never in the group
-        half = system.field.rational(Fraction(1, 2))
-        assert module.member_coordinates(gens[0].scale(half)) is None
+        half = gens[0].scale(system.field.rational(Fraction(1, 2)))
+        assert module._coordinates(*embed_rows([v, half])) == [coeffs, None], system.name
 
 
 def fibonacci_squared(control_child=None):
@@ -318,7 +339,7 @@ def test_plane_system_over_quadratic_field():
     }
     for tid in system.order:
         image = cps.points[tid].scale(t)
-        assert image == cps.child_offset[tid] + cps.points[cps.child_type[tid]]
+        assert image == system.gamma(tid)[1].offset + cps.points[cps.child_type[tid]]
     assert verify_control_point_dynamics(system, cps, 3)
     module = stabilized_module(system)
     assert phi_action(module, system) == [[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]]
@@ -392,11 +413,10 @@ def assert_steps_match_growth(system, label, rows_until=6):
     """Patches grown at depth 2 and then stepped once per depth up to 6
     equal grow_lattice from depth 0, and up to `rows_until` give the rows
     of _return_rows."""
-    form = system.lattice_form()
     patches = [system.grow_lattice(tid, 2) for tid in system.order]
     for depth in range(2, 7):
         if depth > 2:
-            patches = [returns._step(form, *patch) for patch in patches]
+            patches = [system.step_lattice(*patch) for patch in patches]
         for tid, (types, coords, den, *bound) in zip(system.order, patches):
             grown = system.grow_lattice(tid, depth)
             # the carried bound, which keeps a step in int64, must hold
@@ -485,52 +505,71 @@ def test_grow_budget_refuses_a_step_before_building_it(monkeypatch):
     with grow_lattice's message, before the pair budget is consulted and
     before any substitution builds the patch."""
     system = dilation_system(700)
-    steps = []
-    real = returns.substitute
+    sizes = []
+    real = tiles.substitute
 
-    def spy(*args, **kwargs):
-        steps.append(1)
-        return real(*args, **kwargs)
+    def spy(form, types, *args, **kwargs):
+        sizes.append(len(types))
+        return real(form, types, *args, **kwargs)
 
-    monkeypatch.setattr(returns, "substitute", spy)
+    monkeypatch.setattr(tiles, "substitute", spy)
     with pytest.raises(BudgetError) as info:
         stabilized_module(system, start_depth=1)
     assert str(info.value) == "grow would produce more than 400000 tiles"
-    assert not steps
     with pytest.raises(BudgetError) as info:
         system.grow_lattice("a", 2)
     assert str(info.value) == "grow would produce more than 400000 tiles"
+    assert sizes == [1]  # the one step of the depth-1 growth, from the root tile
+
+
+def test_pair_budget_bounds_return_enumeration(np26, monkeypatch):
+    monkeypatch.setattr(returns, "DEFAULT_PAIR_BUDGET", 100)
+    message = "return enumeration exceeds pair budget 100"
+    with pytest.raises(BudgetError) as info:
+        enumerate_returns(np26, 3)
+    assert str(info.value) == message
+    out, err = io.StringIO(), io.StringIO()
+    assert cli_dispatch(["returns", str(corpus_path("np26")), "--depth", "3"], out, err) == 1
+    assert json.loads(out.getvalue()) == {"error": message}
+    assert err.getvalue() == f"error: {message}\n"
+
+
+def test_kenyon_at_the_sample_depth_holds_by_construction(seven):
+    """Every return sampled at the module's depth has integer coordinates
+    over the Kenyon basis, which kenyon_basis no longer checks there, and
+    verified_count counts them."""
+    for name, system in seven.items():
+        module = stabilized_module(system)
+        kb = kenyon_basis(system, module, module.sample_depth)
+        rows, den = returns._return_rows(system, module.sample_depth)
+        assert kb.integral_rows(rows, den).all(), name
+        assert kb.verified_count == len(rows) == module.sample_size, name
+        # a count kept for kenyon_basis, not part of the module's value
+        assert "sample_size" not in module.serialize() and "sample_size" not in repr(module)
+        assert dataclasses.replace(module, sample_size=None) == module, name
 
 
 def test_kenyon_reuses_the_module_sample(seven, monkeypatch):
+    """kenyon_basis at a stabilized module's sample depth reads no rows;
+    one depth less, or for a module from group_basis, it enumerates once."""
     calls = []
     real = returns._return_rows
 
-    def spy(system, depth, *args, **kwargs):
+    def spy(system, depth):
         calls.append(depth)
-        return real(system, depth, *args, **kwargs)
+        return real(system, depth)
 
+    monkeypatch.setattr(returns, "_return_rows", spy)
     for name, system in seven.items():
-        fresh = system_from_dict(serialize_system(system))
-        module = stabilized_module(fresh)
+        module = stabilized_module(system)
         depth = module.sample_depth
-        expected = kenyon_basis(fresh, module, depth, enumerate_returns(fresh, depth)).serialize()
-        monkeypatch.setattr(returns, "_return_rows", spy)
         calls.clear()
-        assert kenyon_basis(fresh, module, depth).serialize() == expected, name
+        kb = kenyon_basis(system, module, depth).serialize()
         assert calls == [], name
-        other = kenyon_basis(fresh, module, depth - 1)
+        shallower = kenyon_basis(system, module, depth - 1).serialize()
         assert calls == [depth - 1], name
-        monkeypatch.setattr(returns, "_return_rows", real)
-        assert other.serialize() == kenyon_basis(fresh, module, depth - 1, enumerate_returns(fresh, depth - 1)).serialize(), name
-
-
-def test_module_sample_rows_are_read_only(fib):
-    module = system_module(fib)
-    rows, den = module._sample
-    assert den == fib.lattice_form().den
-    assert len(rows) and not rows.flags.writeable
-    with pytest.raises(ValueError):
-        rows[0, 0] = 1
-    assert "_sample" not in module.serialize()
-    assert "_sample" not in repr(module)
+        assert shallower == {**kb, "verified_returns": len(real(system, depth - 1)[0])}, name
+        sampled = group_basis(enumerate_returns(system, depth), system.field)
+        calls.clear()
+        assert kenyon_basis(system, sampled, depth).serialize() == kb, name
+        assert calls == [depth], name

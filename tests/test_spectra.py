@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,6 @@ from tilingspectra.spectra import (
     dual_basis,
     eigenvalue_module,
     eigenvalue_report,
-    eval_eigenfunction,
     exact_dist_sequence,
     is_eigenvalue,
     period_group,
@@ -184,38 +182,6 @@ def test_np26_distances_do_not_decay(np26):
     K = np26.field
     dists = exact_dist_sequence(K.one(), 40)
     assert max(float(d) for d in dists[20:41]) > 0.05
-
-
-def test_eval_eigenfunction_basics(fib):
-    K = fib.field
-    alpha = Alpha(K.vec([1]))
-    c, s = eval_eigenfunction(alpha, K.vec([0]))
-    assert (c, s) == (1.0, 0.0)
-    zero = Alpha(K.vec([0]))
-    c, s = eval_eigenfunction(zero, K.vec([K.gen()]))
-    assert (c, s) == (1.0, 0.0)
-    # phase of theta is frac(theta) ~ 0.618
-    c, s = eval_eigenfunction(alpha, K.vec([K.gen()]))
-    golden = (1 + 5**0.5) / 2
-    assert math.atan2(s, c) / (2 * math.pi) % 1 == pytest.approx(golden % 1, abs=1e-9)
-
-
-def test_eigenfunction_cocycle(fib):
-    import random
-
-    K = fib.field
-    alpha = Alpha(K.vec([1]))
-    rng = random.Random(11)
-    for _ in range(20):
-        x = K.vec([K.elem((Fraction(rng.randint(-8, 8), rng.randint(1, 5)),
-                           Fraction(rng.randint(-8, 8), rng.randint(1, 5))))])
-        y = K.vec([K.elem((Fraction(rng.randint(-8, 8), rng.randint(1, 5)),
-                           Fraction(rng.randint(-8, 8), rng.randint(1, 5))))])
-        cx, sx = eval_eigenfunction(alpha, x)
-        cy, sy = eval_eigenfunction(alpha, y)
-        cxy, sxy = eval_eigenfunction(alpha, x + y)
-        prod = complex(cx, sx) * complex(cy, sy)
-        assert abs(prod - complex(cxy, sxy)) < 1e-9
 
 
 def test_period_group_ranks(grid2, fib):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from operator import add, sub
 from pathlib import Path
@@ -276,13 +277,14 @@ def test_grow_counts_match_matrix_powers(systems):
 def test_grow_step_consistency(fib, chair):
     for system, tid in ((fib, "a"), (chair, "NE")):
         p3 = system.grow(tid, 3)
-        stepped = system.substitute_patch(system.grow(tid, 2))
+        stepped = system._patch_of(*system.step_lattice(*system.grow_lattice(tid, 2))[:3])
         assert [t.key() for t in p3] == [t.key() for t in stepped]
 
 
-def test_grow_budget(fib):
-    with pytest.raises(BudgetError):
-        fib.grow("a", 30, budget=100)
+def test_grow_budget(fib, monkeypatch):
+    monkeypatch.setattr(tiles, "DEFAULT_GROW_BUDGET", 100)
+    with pytest.raises(BudgetError, match="^grow would produce more than 100 tiles$"):
+        fib.grow("a", 30)
 
 
 def test_grid2_grow_tiles_square(grid2):
@@ -315,7 +317,8 @@ def test_tile_frequencies_match_counts(fib, grid2):
     freqs = tile_frequencies(fib.substitution_matrix())
     golden = (1 + 5**0.5) / 2
     assert abs(freqs[0] - golden / (golden + 1)) < 1e-10
-    counts = fib.grow("a", 10).type_counts(fib.order)
+    found = Counter(t.proto for t in fib.grow("a", 10))
+    counts = [found[tid] for tid in fib.order]
     total = sum(counts)
     for c, f in zip(counts, freqs):
         assert abs(c / total - f) < 0.02
