@@ -119,7 +119,8 @@ def _emit(out, payload):
 def _vector_arg(system, text: str, label: str):
     """The vector that --alpha or --z gives as JSON: coordinates as in
     system files, or for short a flat list of the d entries' rationals,
-    of the s power-basis coordinates of a 1d vector, or one rational.
+    of the s power-basis coordinates of a 1d vector, or one rational.  A
+    rational x of a short form stands for the entry [x, 0, ..., 0].
     Input that is not such a vector raises SystemFileError."""
     try:
         data = json.loads(text)
@@ -137,7 +138,7 @@ def _vector_arg(system, text: str, label: str):
         if len(data) == s and d == 1:
             data = [data]
         elif len(data) == d:
-            data = [[x] for x in data]
+            data = [[x] + ["0"] * (s - 1) for x in data]
         else:
             raise SystemFileError(
                 f"cannot interpret a flat list of {len(data)} entries "

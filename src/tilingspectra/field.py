@@ -1,13 +1,15 @@
 """Exact arithmetic in the real number field Q(theta).
 
-Elements carry their coordinates in the power basis 1, theta, ...,
-theta^(s-1) as Fractions.  Under them the field keeps only integers:
-the reduction rows of its one reduced product (`NumberField.mul`), the
-power traces, and the integer systems that inverses hand to the one
-exact solver of `lattice`.
-Order comparisons refine theta's isolating interval until the sign of the
-difference is certain, with a pure-rational fast path for degree 1; the
-interval evaluation runs on integer numerators over one denominator.
+An element is integers over one denominator: its power-basis
+coordinates in 1, theta, ..., theta^(s-1) are `nums / den`, with
+`den > 0` and `gcd(den, *nums) == 1`, the integer form `intlattice`
+gives a single entry.  Everything under it is integer work too: the
+reduction rows of the one reduced product (`NumberField.mul`), the power
+traces, and the integer systems that inverses hand to the one exact
+solver of `lattice`.  There is one sign rule, `NumberField.sign` of
+integer coordinates: the int's sign in degree 1, else the refinement of
+theta's isolating interval until the interval value excludes zero.
+Order comparisons are signs of differences.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
+from math import gcd, lcm
 
 from .algebraic import AlgebraicReal, make_algebraic
 from .errors import FieldMismatchError, PrecisionError, TilingError
@@ -48,16 +50,18 @@ class NumberField:
     # -- constructors -------------------------------------------------
 
     def elem(self, coeffs) -> "QThetaElem":
-        coeffs = list(coeffs)
+        """The element with the rational power-basis coordinates coeffs."""
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != self.degree:
             raise TilingError(
                 f"expected {self.degree} power-basis coordinates, got {len(coeffs)}"
             )
-        return QThetaElem(self, tuple(Fraction(c) for c in coeffs))
+        den = lcm(*(c.denominator for c in coeffs))
+        return QThetaElem(self, [c.numerator * (den // c.denominator) for c in coeffs], den)
 
     def rational(self, r) -> "QThetaElem":
-        coeffs = [Fraction(r)] + [Fraction(0)] * (self.degree - 1)
-        return QThetaElem(self, tuple(coeffs))
+        r = Fraction(r)
+        return QThetaElem(self, [r.numerator] + [0] * (self.degree - 1), r.denominator)
 
     def zero(self) -> "QThetaElem":
         return self.rational(0)
@@ -69,9 +73,7 @@ class NumberField:
         """theta itself as a field element."""
         if self.degree == 1:
             return self.rational(-self.minpoly.coeffs[0])
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[1] = Fraction(1)
-        return QThetaElem(self, tuple(coeffs))
+        return QThetaElem(self, [0, 1] + [0] * (self.degree - 2))
 
     def vec(self, entries) -> "QThetaVec":
         return QThetaVec(tuple(self._coerce(e) for e in entries))
@@ -100,14 +102,11 @@ class NumberField:
         return self.theta.count_roots(lo, hi) == 1
 
     def mul(self, a, b) -> list:
-        """The power-basis coordinates of a * b for coordinate sequences
-        a, b of ints or Fractions: the schoolbook product, then the terms
-        of degree s .. 2s-2 folded back through the reduction rows.  The
-        sums start at a[0] * 0, so Fraction inputs give Fraction
-        coordinates even where a sum is empty."""
+        """The integer power-basis coordinates of a * b for integer
+        coordinate sequences a, b: the schoolbook product, then the terms
+        of degree s .. 2s-2 folded back through the reduction rows."""
         s = self.degree
-        zero = a[0] * 0
-        prod = [zero] * (2 * s - 1)
+        prod = [0] * (2 * s - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
@@ -118,6 +117,27 @@ class NumberField:
                 for i, v in enumerate(row):
                     out[i] += c * v
         return out
+
+    def sign(self, nums) -> int:
+        """Exact sign (-1, 0, +1) of the element with the integer
+        power-basis coordinates nums (over any positive denominator): the
+        int's own sign in degree 1, else theta's isolating interval is
+        refined until the interval value of the polynomial excludes 0."""
+        if self.degree == 1:
+            return (nums[0] > 0) - (nums[0] < 0)
+        if not any(nums):
+            return 0
+        theta = self.theta
+        for _ in range(_MAX_SIGN_REFINEMENTS):
+            lo, hi, _ = interval_horner(nums, *theta.scaled_interval)
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            theta.refine(4)
+        raise PrecisionError(
+            "sign refinement exhausted; is the minimal polynomial reducible?"
+        )
 
     def power_traces(self, upto: int):
         """Tr(theta^k) for k = 0..upto as ints, by Newton's identities.
@@ -160,24 +180,34 @@ def golden_field() -> NumberField:
 
 
 class QThetaElem:
-    """An element of Q(theta) in power-basis coordinates."""
+    """An element of Q(theta): integer power-basis numerators `nums` over
+    one positive denominator `den`, in lowest terms (zero is 0/1)."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "nums", "den")
 
-    def __init__(self, field: NumberField, coeffs: tuple):
+    def __init__(self, field: NumberField, nums, den: int = 1):
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
         self.field = field
-        self.coeffs = coeffs
+        self.nums = tuple(nums) if g == 1 else tuple(c // g for c in nums)
+        self.den = den // g
+
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def is_rational_integer(self) -> bool:
-        return self.is_rational() and self.coeffs[0].denominator == 1
+        return self.den == 1 and self.is_rational()
 
     # -- ring operations ----------------------------------------------
 
@@ -190,14 +220,16 @@ class QThetaElem:
 
     def __add__(self, other):
         other = self._check(other)
+        den = lcm(self.den, other.den)
+        u, v = den // self.den, den // other.den
         return QThetaElem(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+            self.field, [a * u + b * v for a, b in zip(self.nums, other.nums)], den
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QThetaElem(self.field, tuple(-a for a in self.coeffs))
+        return QThetaElem(self.field, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -207,31 +239,30 @@ class QThetaElem:
 
     def __mul__(self, other):
         other = self._check(other)
-        if self.field.degree == 1:
-            return QThetaElem(self.field, (self.coeffs[0] * other.coeffs[0],))
-        return QThetaElem(self.field, tuple(self.field.mul(self.coeffs, other.coeffs)))
+        return QThetaElem(
+            self.field, self.field.mul(self.nums, other.nums), self.den * other.den
+        )
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QThetaElem":
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(theta)")
+        field, s = self.field, self.field.degree
         if self.is_rational():
-            return self.field.rational(1 / self.coeffs[0])
+            return QThetaElem(field, [self.den] + [0] * (s - 1), self.nums[0])
         # Solve sum_j c_j theta^j a = 1 for the c_j: with a = nums / den,
         # column j holds the coordinates of theta^j nums, the right side den
-        field, s = self.field, self.field.degree
-        nums, den = self._numerators()
         theta = [0, 1] + [0] * (s - 2)
-        cols = [nums]
+        cols = [self.nums]
         for _ in range(s - 1):
             cols.append(field.mul(cols[-1], theta))
-        sol = field_solve(list(zip(*cols)), [[den] + [0] * (s - 1)])
+        sol = field_solve(list(zip(*cols)), [[self.den] + [0] * (s - 1)])
         if sol.rank < s:
             raise ZeroDivisionError(
                 "element is a zero divisor: minimal polynomial is reducible"
             )
-        return QThetaElem(field, tuple(Fraction(c, sol.det) for c in sol.columns[0]))
+        return QThetaElem(field, sol.columns[0], sol.det)
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -255,44 +286,23 @@ class QThetaElem:
     # -- order and equality --------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, QThetaElem):
-            return (
-                self.field.same_field(other.field) and self.coeffs == other.coeffs
-            )
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            other = self.field.rational(other)
+        if isinstance(other, QThetaElem):
+            same = (self.nums, self.den) == (other.nums, other.den)
+            return same and self.field.same_field(other.field)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def sign(self) -> int:
         """Exact sign: -1, 0, +1."""
-        if self.is_zero():
-            return 0
-        if self.field.degree == 1:
-            c = self.coeffs[0]
-            return 1 if c > 0 else -1
-        theta = self.field.theta
-        nums, _ = self._numerators()
-        for _ in range(_MAX_SIGN_REFINEMENTS):
-            lo, hi, _ = interval_horner(nums, *theta.scaled_interval)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            theta.refine(4)
-        raise PrecisionError(
-            "sign refinement exhausted; is the minimal polynomial reducible?"
-        )
-
-    def _numerators(self):
-        """(numerators, den): the coordinates as integers over one den > 0."""
-        den = lcm(*(c.denominator for c in self.coeffs))
-        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
+        return self.field.sign(self.nums)
 
     def cmp(self, other) -> int:
-        return (self - other).sign()
+        other = self._check(other)  # a/d - b/e has the sign of a*e - b*d
+        return self.field.sign([a * other.den - b * self.den for a, b in zip(self.nums, other.nums)])
 
     def __lt__(self, other):
         return self.cmp(other) < 0
@@ -312,10 +322,9 @@ class QThetaElem:
         """A rational interval of width < `width` containing the value."""
         width = Fraction(width)
         theta = self.field.theta
-        nums, den = self._numerators()
         for _ in range(_MAX_SIGN_REFINEMENTS):
-            lo, hi, scale = interval_horner(nums, *theta.scaled_interval)
-            scale *= den
+            lo, hi, scale = interval_horner(self.nums, *theta.scaled_interval)
+            scale *= self.den
             if (hi - lo) * width.denominator < width.numerator * scale:
                 return (Fraction(lo, scale), Fraction(hi, scale))
             theta.refine(8)
@@ -323,16 +332,20 @@ class QThetaElem:
 
     def __float__(self) -> float:
         if self.field.degree == 1:
-            return float(self.coeffs[0])
+            return self.nums[0] / self.den
         lo, hi = self.interval(Fraction(1, 10**25))
         return float((lo + hi) / 2)
 
     def serialize(self):
         """JSON form: list of 'p/q' strings in power-basis order."""
-        return [str(c) for c in self.coeffs]
+        out = []
+        for c in self.nums:
+            g = gcd(c, self.den)
+            out.append(str(c // g) if g == self.den else f"{c // g}/{self.den // g}")
+        return out
 
     def __repr__(self):
-        return f"QThetaElem({list(map(str, self.coeffs))})"
+        return f"QThetaElem({self.serialize()})"
 
 
 class QThetaVec:
@@ -376,15 +389,11 @@ class QThetaVec:
         return all(e.is_zero() for e in self.entries)
 
     def key(self):
-        """Hashable structural key (power-basis coordinates)."""
-        return tuple(e.coeffs for e in self.entries)
+        """Hashable structural key: each entry's (nums, den)."""
+        return tuple((e.nums, e.den) for e in self.entries)
 
     def __eq__(self, other):
         return isinstance(other, QThetaVec) and self.key() == other.key()
-
-    def __lt__(self, other):
-        """Exact lexicographic order of the entries."""
-        return self.entries < other.entries
 
     def __hash__(self):
         return hash(self.key())

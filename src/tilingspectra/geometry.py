@@ -5,33 +5,23 @@ simplicity and doubled areas take kernel points.  Every vertex lies in
 (1/D) Z[theta]^2, so a point is the tuple of 2*s ints (x's power-basis
 coordinates, then y's) of D times its value, over one common positive D
 per call; scaling by D > 0 changes no sign.  theta is a monic algebraic
-integer, so Z[theta] products stay integral.  A sign is the int's own
-sign in degree 1 and `QThetaElem.sign()` of the integer element
-otherwise: there is one exact sign rule.  A doubled area is its s
-power-basis coordinates over D^2.  Nothing here ever rounds.  `Polygon`
-holds a support's Q(theta) vertices and their kernel points.
+integer, so Z[theta] products stay integral.  A sign is
+`NumberField.sign` of the integer coordinates, the one exact sign rule,
+and points along a segment are put in order by `ordering.value_order`,
+the one exact order.  A doubled area is its s power-basis coordinates
+over D^2.  Nothing here ever rounds.  `Polygon` holds a support's
+Q(theta) vertices and their kernel points.
 """
 
 from __future__ import annotations
 
-from functools import cmp_to_key
 from math import lcm
 from operator import add
 
 from .errors import TilingError
-from .field import QThetaElem, QThetaVec
-from .intlattice import embed_rows
-
-
-def coeff_sign(field, coeffs) -> int:
-    """Exact sign of the element of `field` with integer power-basis
-    coordinates `coeffs` (times any positive denominator)."""
-    if field.degree == 1:
-        return (coeffs[0] > 0) - (coeffs[0] < 0)
-    if not any(coeffs):
-        return 0
-    return QThetaElem(field, tuple(coeffs)).sign()
-
+from .field import QThetaVec
+from .intlattice import embed_rows, int_array
+from .ordering import value_order
 
 # ---------------------------------------------------------------------------
 # integer kernel: points are int tuples over one common denominator
@@ -41,15 +31,13 @@ class _Ring:
     """Signs of the kernel's expressions in degree s >= 2: an element is
     a list of s ints, a point a tuple of 2*s ints."""
 
-    __slots__ = ("field", "s", "mul")
+    __slots__ = ("field", "s", "mul", "sign")
 
     def __init__(self, field):
         self.field = field
         self.s = field.degree
         self.mul = field.mul  # Z[theta] products stay integral: minpoly is monic
-
-    def sign(self, e) -> int:
-        return coeff_sign(self.field, e)
+        self.sign = field.sign
 
     def wedge(self, u, v):
         """u.x * v.y - u.y * v.x."""
@@ -74,12 +62,12 @@ class _Ring:
 
     def sort_along(self, pts, a, b):
         """Points of segment ab ordered from a to b."""
-        keyed = [(self.along(p, a, b), p) for p in pts]
-        keyed.sort(key=cmp_to_key(lambda u, v: self.sign([x - y for x, y in zip(u[0], v[0])])))
-        return [p for _, p in keyed]
+        pts = list(pts)
+        along = int_array([self.along(p, a, b) for p in pts], self.s)
+        return [pts[i] for i in value_order(self.field, along, 1).tolist()]
 
 
-class _Ring1(_Ring):
+class _Ring1:
     """Degree 1: an element is one int, a point (x, y)."""
 
     __slots__ = ()
@@ -104,8 +92,8 @@ class _Ring1(_Ring):
         return sorted(pts, key=lambda p: self.along(p, a, b))
 
 
-def _ring(field) -> _Ring:
-    return _Ring1(field) if field.degree == 1 else _Ring(field)
+def _ring(field):
+    return _Ring1() if field.degree == 1 else _Ring(field)
 
 
 def _common(*forms):
@@ -263,7 +251,7 @@ class Polygon:
         for i in range(n):
             if vs[i] == vs[(i + 1) % n]:
                 raise TilingError("repeated consecutive polygon vertex")
-        if coeff_sign(field, area2(field, vs)) <= 0:
+        if field.sign(area2(field, vs)) <= 0:
             raise TilingError("polygon vertices must be counterclockwise with positive area")
         for i in range(n):
             a, b = vs[i], vs[(i + 1) % n]

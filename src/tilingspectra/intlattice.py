@@ -17,8 +17,6 @@ exact solver, `lattice.field_solve`.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import repeat
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -61,11 +59,10 @@ def widen(arr: np.ndarray) -> np.ndarray:
 
 def embed_rows(vecs):
     """(rows, den) of QThetaVecs in plain ints: den is the lcm of all
-    coordinate denominators and rows[i] is the tuple of den times vector
-    i's power-basis coordinates, entry after entry."""
-    rows = [[c for e in v.entries for c in e.coeffs] for v in vecs]
-    den = lcm(*(c.denominator for row in rows for c in row))
-    return [tuple(c.numerator * (den // c.denominator) for c in row) for row in rows], den
+    entry denominators and rows[i] is the tuple of den times vector i's
+    power-basis coordinates, entry after entry."""
+    den = lcm(*(e.den for v in vecs for e in v.entries))
+    return [tuple(c * (den // e.den) for e in v.entries for c in e.nums) for v in vecs], den
 
 
 def embed(vecs):
@@ -236,27 +233,25 @@ def matmul(coords: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 def vectors(field: NumberField, coords: np.ndarray, den: int):
-    """QThetaVecs of the rows of coords / den.  Each distinct coordinate
-    becomes one Fraction and each distinct entry one QThetaElem, shared
-    by every vector that holds it (both are immutable)."""
+    """QThetaVecs of the rows of coords / den.  Each distinct entry
+    becomes one QThetaElem, shared by every vector that holds it (it is
+    immutable)."""
     n, width = coords.shape
     if n == 0:
         return []
     s = field.degree
     values, inverse = np.unique(coords, return_inverse=True)
-    fractions = np.empty(len(values), dtype=object)
-    fractions[:] = [Fraction(v) if den == 1 else Fraction(v, den) for v in values.tolist()]
-    if s == 1:  # an entry is one coefficient
+    if s == 1:  # an entry is one coordinate
         digits, entry_of = np.arange(len(values)).reshape(-1, 1), inverse
-    else:  # an entry is s coefficient indices, packed into one key
+    else:  # an entry is s coordinate indices, packed into one key
         strides = radix([len(values)] * s)
         codes, entry_of = np.unique(
             pack(inverse.reshape(-1, s), [0] * s, strides), return_inverse=True
         )
         digits = unpack(codes, [0] * s, strides).astype(np.intp)
-    coeffs = zip(*(fractions[digits[:, k]].tolist() for k in range(s)))
+    nums = zip(*(values[digits[:, k]].tolist() for k in range(s)))
     elems = np.empty(len(digits), dtype=object)
-    elems[:] = unchecked(QThetaElem, len(digits), field=repeat(field), coeffs=coeffs)
+    elems[:] = [QThetaElem(field, e, den) for e in nums]
     table = elems[entry_of.reshape(n, width // s)]
     entries = zip(*(table[:, k].tolist() for k in range(width // s)))
     return unchecked(QThetaVec, n, entries=entries)

@@ -1,17 +1,20 @@
-"""Fast exact value-ordering of Q(theta) vectors.
+"""The one exact value order of Q(theta) vectors.
 
 Vectors are ordered in their integer form (see `intlattice`): rows of
 integer power-basis coordinates over one positive denominator, which
-does not change the order.  Degree 1 sorts the integers themselves.
-Higher degrees sort by float64 keys, row @ (theta^k), with theta^k taken
-from a frozen isolating interval of theta narrower than 1e-30, and each
-key carries a sound bound on its distance from the exact value: the
-interval's width plus float rounding of the conversions, products and
-sums.  The sorted order is verified on adjacent items: entries with
-equal coefficients are equal, a gap larger than the summed bounds
-certifies strict order, anything tighter falls back to one exact sign
-computation, and an inversion (adversarial coefficients only) rebuilds
-the whole order with exact comparisons.
+does not change the order.  Vectors compare lexicographically, entry by
+entry, and entries by `NumberField.sign` of their difference.  Degree 1
+sorts the integers themselves.  Higher degrees sort by float64 keys,
+row @ (theta^k), with theta^k taken from a frozen isolating interval of
+theta narrower than 1e-30, and each key carries a sound bound on its
+distance from the exact value: the interval's width plus float rounding
+of the conversions, products and sums.  The sorted order is verified on
+adjacent items: entries with equal coefficients are equal, a gap larger
+than the summed bounds certifies strict order, anything tighter falls
+back to one exact sign, and an inversion (adversarial coefficients only)
+rebuilds the whole order with exact comparisons.  At most _FEW rows are
+sorted by exact comparisons alone: their few signs cost less than the
+float keys and the refinement of theta.
 """
 
 from __future__ import annotations
@@ -20,10 +23,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .intlattice import embed, vectors
+from .field import QThetaElem
+from .intlattice import embed
 from .polys import iv_mul
 
 _SNAPSHOT_WIDTH = Fraction(1, 10**30)
+_FEW = 8  # rows sorted by exact comparisons alone
 _U = 2.0**-53  # unit roundoff of float64
 
 
@@ -47,24 +52,23 @@ def sorted_by_value(items, vec_of, pre_key=None):
 def value_order(field, coords, den, groups=None):
     """Index array of the rows of coords / den in exact (group, value)
     order; stable for equal vectors."""
-    n = len(coords)
+    n, width = coords.shape
     if groups is None:
         groups = np.zeros(n, dtype=np.int64)
 
-    def exact_vec(i):  # row i as a QThetaVec, for the exact fallback
-        return vectors(field, coords[i : i + 1], den)[0]
-
     def sorted_by(key):
-        return np.array(sorted(range(n), key=lambda i: (int(groups[i]), key(i))), dtype=np.intp)
+        group = groups.tolist()
+        return np.array(sorted(range(n), key=lambda i: (group[i], key(i))), dtype=np.intp)
 
-    def exact_order():
-        return sorted_by(exact_vec)
+    def exact_order():  # entries compare by the sign of their difference
+        rows, s = coords.tolist(), field.degree
+        if s == 1:  # the integers themselves
+            return sorted_by(rows.__getitem__)
+        return sorted_by(lambda i: [QThetaElem(field, rows[i][k : k + s]) for k in range(0, width, s)])
 
-    if n <= 1:
-        return np.arange(n)
+    if n <= _FEW or field.degree == 1 and coords.dtype == object:
+        return exact_order()
     if field.degree == 1:
-        if coords.dtype == object:
-            return sorted_by(coords.tolist().__getitem__)
         return np.lexsort([*coords.T[::-1], groups])
 
     keys = _float_keys(field, coords)
@@ -82,9 +86,10 @@ def value_order(field, coords, den, groups=None):
     tol = (bound[a, entry] + bound[b, entry]) * (1 + 1e-6)
     if (gap < -tol).any():
         return exact_order()
+    s = field.degree
     for k in np.nonzero(gap <= tol)[0].tolist():
-        i, j, e = int(a[k]), int(b[k]), int(entry[k])
-        if exact_vec(i)[e].cmp(exact_vec(j)[e]) > 0:
+        i, j, e = int(a[k]), int(b[k]), int(entry[k]) * s
+        if field.sign((coords[i, e : e + s] - coords[j, e : e + s]).tolist()) > 0:
             return exact_order()
     return perm
 
@@ -97,15 +102,17 @@ def _float_keys(field, coords):
     theta = field.theta
     if theta.width() > _SNAPSHOT_WIDTH:
         theta.refine_below(_SNAPSHOT_WIDTH)
-    iv = theta.interval  # one snapshot, read once
-    power = (Fraction(1), Fraction(1))
+    iv = theta.scaled_interval  # one snapshot, read once: (a/m, b/m)
+    power, scale = (1, 1), 1  # theta^k lies in power / scale
     t, err = [], []
     for _ in range(s):
-        mid = float((power[0] + power[1]) / 2)
+        mid = (power[0] + power[1]) / (2 * scale)  # int division rounds correctly
+        p, q = mid.as_integer_ratio()
         t.append(mid)
         # rounded up past float conversion of the rational distance
-        err.append(float(max(power[1] - Fraction(mid), Fraction(mid) - power[0])) * (1 + 4 * _U))
-        power = iv_mul(power, iv)
+        dist = max(power[1] * q - p * scale, p * scale - power[0] * q)
+        err.append(dist / (q * scale) * (1 + 4 * _U))
+        power, scale = iv_mul(power, iv[:2]), scale * iv[2]
     t = np.array(t)
     # |fl(x) - x| <= u|x| per coordinate, and a float dot product of s
     # terms errs by at most s*u times the sum of the absolute terms

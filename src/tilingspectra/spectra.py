@@ -114,15 +114,9 @@ class GeneratorReport:
         return out
 
 
-@dataclass
-class Eig1Result:
-    passed: bool
-    pisot: bool
-    reports: list
-
-
-def check_eig1(system: SubstitutionSystem, alpha: Alpha, module: ReturnModule) -> Eig1Result:
-    """Phase convergence along dilation powers, on the group generators.
+def check_eig1(system: SubstitutionSystem, alpha: Alpha, module: ReturnModule):
+    """(passed, reports): phase convergence along dilation powers, on
+    the group generators.
 
     The condition dist(theta^n x, Z) -> 0 is closed under integer
     combinations, so checking generators decides it for every sampled
@@ -138,11 +132,11 @@ def check_eig1(system: SubstitutionSystem, alpha: Alpha, module: ReturnModule) -
             reports.append(
                 GeneratorReport(v, x, rep.eventually_integer, trace_report=rep)
             )
-        return Eig1Result(all(r.passed for r in reports), True, reports)
+        return all(r.passed for r in reports), reports
     for v in module.generators:
         x = alpha.pairing(v)
         reports.append(GeneratorReport(v, x, x.is_zero()))
-    return Eig1Result(all(r.passed for r in reports), False, reports)
+    return all(r.passed for r in reports), reports
 
 
 def check_eig2(alpha: Alpha, periods: PeriodGroup):
@@ -185,13 +179,13 @@ def eigenvalue_report(
     system: SubstitutionSystem, alpha: Alpha, module: ReturnModule = None
 ) -> EigenReport:
     module = module or system_module(system)
-    r1 = check_eig1(system, alpha, module)
+    ok1, r1 = check_eig1(system, alpha, module)
     ok2, r2 = check_eig2(alpha, period_group(system))
     return EigenReport(
         alpha=alpha,
-        eig1=r1.passed,
+        eig1=ok1,
         eig2=ok2,
-        generator_reports=r1.reports,
+        generator_reports=r1,
         period_reports=r2,
         sample_depth=module.sample_depth,
         stabilized=module.stabilized,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .algebraic import make_algebraic
 from .errors import SystemFileError, TilingError
@@ -247,17 +248,23 @@ def _parse_qtheta(raw, field: NumberField, path: str):
         raise SystemFileError(
             f"expected exactly {field.degree} coordinates, got {len(raw)}", path
         )
-    coeffs = []
+    fracs = []  # (numerator, denominator) in lowest terms
     for k, item in enumerate(raw):
         if not isinstance(item, str) or not _RATIONAL_RE.match(item):
             raise SystemFileError(
                 f"coordinate must be a 'p/q' string, got {item!r}", f"{path}[{k}]"
             )
-        try:
-            coeffs.append(parse_rational(item))
-        except TilingError as exc:
-            raise SystemFileError(str(exc), f"{path}[{k}]") from None
-    return QThetaElem(field, tuple(coeffs))
+        num, _, den = item.partition("/")
+        p, q = int(num), int(den or 1)
+        if q == 0 or gcd(p, q) != 1:  # parse_rational rejects it, or it is 0/q
+            try:
+                f = parse_rational(item)
+            except TilingError as exc:
+                raise SystemFileError(str(exc), f"{path}[{k}]") from None
+            p, q = f.numerator, f.denominator
+        fracs.append((p, q))
+    den = lcm(*(q for _, q in fracs))
+    return QThetaElem(field, [p * (den // q) for p, q in fracs], den)
 
 
 def _parse_vec(raw, field: NumberField, dimension: int, path: str) -> QThetaVec:

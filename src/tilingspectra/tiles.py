@@ -12,8 +12,6 @@ gap-free endpoint chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cmp_to_key
 from itertools import combinations
 from operator import add, sub
 
@@ -28,7 +26,6 @@ from .geometry import (
     _ring,
     _touch,
     area2,
-    coeff_sign,
     interiors_overlap,
     polygon_contains,
 )
@@ -348,8 +345,8 @@ def validate(system: SubstitutionSystem) -> ValidationReport:
             f"rule[{tid}].measure",
             ok,
             "children measure equals theta^d * vol" if ok else
-            f"children measure {_serialize(system, total, vden)} != "
-            f"theta^d*vol {_serialize(system, grown[j], vden)}",
+            f"children measure {QThetaElem(system.field, total, vden).serialize()} != "
+            f"theta^d*vol {QThetaElem(system.field, grown[j], vden).serialize()}",
         )
         kids = [
             (ch, [tuple(map(add, v, offsets[i])) for v in shapes[kinds[i]]])
@@ -399,8 +396,8 @@ def _validate_rule(system, rep, tid, kids, region):
 def _chain(field, segs, region):
     """(ok, detail): do the segments, sorted by exact start, cover the
     region end to end without gaps?"""
-    order = cmp_to_key(lambda p, q: coeff_sign(field, list(map(sub, p[0], q[0]))))
-    segs = sorted(segs, key=order)
+    starts = int_array([start for start, _ in segs], field.degree)
+    segs = [segs[i] for i in value_order(field, starts, 1).tolist()]
     (start, end) = region
     if segs[0][0] != start:
         return False, "first child does not start at 0"
@@ -425,11 +422,6 @@ def _volumes(system, shapes, den):
     for _ in range(system.dimension):
         grown = [_rowmul(v, companion) for v in grown]
     return vols, grown, vden
-
-
-def _serialize(system, coeffs, den):
-    """JSON form of the field element with coordinates coeffs / den."""
-    return QThetaElem(system.field, tuple(Fraction(c, den) for c in coeffs)).serialize()
 
 
 def _rowmul(row, mat):
@@ -524,9 +516,8 @@ def _inside(system, region, tile) -> bool:
     """Is the tile support inside the region (both as kernel points)?"""
     if system.dimension == 1:
         (a, b), (_, end) = tile, region
-        return coeff_sign(system.field, a) >= 0 and coeff_sign(
-            system.field, [x - y for x, y in zip(end, b)]
-        ) >= 0
+        sign = system.field.sign
+        return sign(a) >= 0 and sign([x - y for x, y in zip(end, b)]) >= 0
     return polygon_contains(system.field, region, tile)
 
 
@@ -655,7 +646,7 @@ def _meet(system, r, p, q) -> bool:
         (p0, p1), (q0, q1) = p, q
         # each interval starts at or before the other one's end
         return all(
-            coeff_sign(system.field, list(map(sub, start, end))) <= 0
+            system.field.sign(list(map(sub, start, end))) <= 0
             for start, end in ((q0, p1), (p0, q1))
         )
     return any(_touch(r, a, b, c, d) for a, b in _edges(p) for c, d in _edges(q))
@@ -667,7 +658,7 @@ def _overlap(system, p, q) -> bool:
         (p0, p1), (q0, q1) = p, q
         # each interval starts before the other one's end
         return all(
-            coeff_sign(system.field, list(map(sub, start, end))) < 0
+            system.field.sign(list(map(sub, start, end))) < 0
             for start, end in ((q0, p1), (p0, q1))
         )
     return interiors_overlap(system.field, p, q)

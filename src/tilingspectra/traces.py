@@ -25,8 +25,7 @@ _DIST_PRECISION = Fraction(1, 10**25)
 def trace(x: QThetaElem) -> Fraction:
     """Tr_{Q(theta)/Q}(x): power-sum traces contracted with coordinates."""
     p = x.field.power_traces(x.field.degree - 1)
-    nums, den = x._numerators()
-    return Fraction(sum(c * p[k] for k, c in enumerate(nums)), den)
+    return Fraction(sum(c * p[k] for k, c in enumerate(x.nums)), x.den)
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,8 @@ def dist_to_int_limit(x: QThetaElem, budget: int = DEFAULT_STATE_BUDGET) -> Trac
     s = field.degree
     powers = field.power_traces(2 * s - 2)
     # t_n = Tr(theta^n x) = t[n] / den
-    nums, den = x._numerators()
-    t = [sum(c * powers[n + k] for k, c in enumerate(nums)) for n in range(s)]
+    den = x.den
+    t = [sum(c * powers[n + k] for k, c in enumerate(x.nums)) for n in range(s)]
     g = gcd(den, *t)
     denom = den // g
     if denom**s > budget:
@@ -108,8 +107,7 @@ def dist_to_int(x: QThetaElem) -> Fraction:
     floating powers (theta^n overflows doubles long before diagnostics end).
     """
     if x.is_rational():
-        f = x.coeffs[0]
-        frac = f - f.__floor__()
+        frac = Fraction(x.nums[0] % x.den, x.den)
         return min(frac, 1 - frac)
     lo, hi = x.interval(_DIST_PRECISION)
     mid = (lo + hi) / 2

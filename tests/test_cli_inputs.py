@@ -6,6 +6,7 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -167,6 +168,54 @@ def test_vector_arguments_never_crash(name, command, text):
     assert code in (0, 1), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     json.loads(out.getvalue())
+
+
+SHORT_FORM_SYSTEMS = {
+    "fibonacci": str(corpus_path("fibonacci")),
+    "np26": str(corpus_path("np26")),
+    "tribonacci": str(Path(__file__).resolve().parents[1] / "perfbench/systems/tribonacci.json"),
+}
+
+
+def run_vector_command(path, command, flag, text, alpha=None):
+    """(exit, stdout, stderr) of `eigen check` or `converge` with `text`
+    after `flag`; `converge --z` takes `alpha` as its --alpha."""
+    if command == "eigen check":
+        argv = ["eigen", "check", path, "--alpha", text]
+    else:
+        argv = ["converge", path, "--steps", "4"]
+        if flag == "--alpha":
+            argv += ["--alpha", text]
+        else:
+            argv += ["--alpha", alpha, "--z", text]
+    out, err = io.StringIO(), io.StringIO()
+    code = cli_dispatch(argv, stdout=out, stderr=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(SHORT_FORM_SYSTEMS))
+@pytest.mark.parametrize(
+    "command,flag", [("eigen check", "--alpha"), ("converge", "--alpha"), ("converge", "--z")]
+)
+def test_short_vector_forms_print_the_full_forms_bytes(name, command, flag):
+    """One rational, or a flat list of the d entries' rationals, stands
+    for entries [x, 0, ..., 0] in fields of any degree."""
+    path = SHORT_FORM_SYSTEMS[name]
+    with open(path, encoding="utf-8") as fh:
+        s = len(json.load(fh)["theta"]["minpoly"]) - 1
+    alpha = json.dumps([["1/2"] + ["0"] * (s - 1)])
+    full = run_vector_command(path, command, flag, json.dumps([["1/3"] + ["0"] * (s - 1)]), alpha)
+    assert full[0] == 0, full
+    for short in ('"1/3"', '["1/3"]'):
+        assert run_vector_command(path, command, flag, short, alpha) == full
+
+
+def test_one_coordinate_entry_is_still_rejected():
+    code, out, err = run_vector_command(
+        SHORT_FORM_SYSTEMS["fibonacci"], "eigen check", "--alpha", '[["1/3"]]'
+    )
+    assert code == 1
+    assert json.loads(out) == {"error": "alpha[0]: expected exactly 2 coordinates, got 1"}
 
 
 @pytest.mark.parametrize("scale", ["0", "-5", "nan", "inf"])

@@ -1,14 +1,18 @@
-"""The integer Sturm/bisection/interval kernel against a plain Fraction
-reference kept here: the same root counts, the same refined endpoints and
-the same signs and enclosures in Q(theta), step for step."""
+"""The integer Sturm/bisection/interval kernel and the integer Q(theta)
+element against a plain Fraction reference kept here: the same root
+counts, the same refined endpoints, the same signs and enclosures in
+Q(theta), step for step, and the same field arithmetic."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tilingspectra import AlgebraicReal, IntPoly, NumberField
 from tilingspectra.polys import rational_roots, sturm_count
+
+from test_field import field_case
 
 # ---------------------------------------------------------------------------
 # Fraction reference
@@ -109,6 +113,83 @@ def isolating_intervals(p):
             mid = (lo + hi) / 2
             stack += [(lo, mid), (mid, hi)]
     return sorted(out)
+
+
+class RefElem:
+    """A Q(theta) element as its s power-basis coordinates in Fractions,
+    for the monic minimal polynomial p (ascending coefficients)."""
+
+    def __init__(self, p, coeffs):
+        self.p = p
+        self.c = tuple(Fraction(x) for x in coeffs)
+
+    def __add__(self, other):
+        return RefElem(self.p, [a + b for a, b in zip(self.c, other.c)])
+
+    def __neg__(self):
+        return RefElem(self.p, [-a for a in self.c])
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        s = len(self.c)
+        prod = [Fraction(0)] * (2 * s - 1)
+        for i, a in enumerate(self.c):
+            for j, b in enumerate(other.c):
+                prod[i + j] += a * b
+        for k in range(2 * s - 2, s - 1, -1):  # x^k = -x^(k-s) (p - x^s)
+            for i in range(s):
+                prod[k - s + i] -= prod[k] * self.p[i]
+        return RefElem(self.p, prod[:s])
+
+    def inverse(self):
+        """Gauss-Jordan on the columns theta^j * self, right side e_0."""
+        s = len(self.c)
+        theta = RefElem(self.p, [0, 1] + [0] * (s - 2)) if s > 1 else RefElem(self.p, [-self.p[0]])
+        cols = [self]
+        for _ in range(s - 1):
+            cols.append(cols[-1] * theta)
+        rows = [[col.c[i] for col in cols] + [Fraction(int(i == 0))] for i in range(s)]
+        for j in range(s):
+            k = next(r for r in range(j, s) if rows[r][j])
+            rows[j], rows[k] = rows[k], rows[j]
+            rows[j] = [v / rows[j][j] for v in rows[j]]
+            for r in range(s):
+                if r != j and rows[r][j]:
+                    rows[r] = [v - rows[r][j] * w for v, w in zip(rows[r], rows[j])]
+        return RefElem(self.p, [row[-1] for row in rows])
+
+    def __pow__(self, n):
+        base = self if n >= 0 else self.inverse()
+        out = RefElem(self.p, [1] + [0] * (len(self.c) - 1))
+        for _ in range(abs(n)):
+            out = out * base
+        return out
+
+    def is_zero(self):
+        return not any(self.c)
+
+    def serialize(self):
+        return [str(x) for x in self.c]
+
+    def enclosure(self, lo, hi, width):
+        """(enclosure of the value narrower than width, lo, hi), theta's
+        isolating interval (lo, hi) refined as far as that needs."""
+        while True:
+            elo, ehi = ref_enclose(self.c, lo, hi)
+            if ehi - elo < width:
+                return (elo, ehi), lo, hi
+            lo, hi = ref_refine(self.p, lo, hi, 8)
+
+    def sign(self, lo, hi):
+        if self.is_zero():
+            return 0
+        while True:
+            elo, ehi = ref_enclose(self.c, lo, hi)
+            if elo > 0 or ehi < 0:
+                return 1 if elo > 0 else -1
+            lo, hi = ref_refine(self.p, lo, hi, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -242,3 +323,52 @@ def test_rational_roots_at_a_bisection_point():
     assert rational_roots(IntPoly([0, 1, -3, 1])) == [0]
     assert rational_roots(IntPoly([0, -2, 1, 1])) == [-2, 0, 1]
     assert rational_roots(IntPoly([6, -5, -2, 1])) == [-2, 1, 3]
+
+
+coordinates = st.fractions(min_value=-20, max_value=20, max_denominator=30) | st.sampled_from(
+    [Fraction(0), Fraction(10**20, 3), Fraction(-7, 2**70)]
+)
+
+
+def assert_integer_form(x):
+    """nums over den > 0 in lowest terms, zero as 0/1."""
+    assert all(type(c) is int for c in x.nums) and type(x.den) is int
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1
+    assert any(x.nums) or x.den == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=st.sampled_from([1, 2, 3, 4]), data=st.data())
+def test_element_matches_fraction_reference(key, data):
+    """Degree 1-4 fields: every operation of the integer element gives
+    the Fraction reference's coordinates, strings, sign and value."""
+    K = field_case(key)
+    s, p = K.degree, K.minpoly.coeffs
+    elems = st.lists(coordinates, min_size=s, max_size=s)
+    ac = data.draw(elems)
+    bc = data.draw(st.just(ac) | elems)
+    n = data.draw(st.integers(-3, 4))
+    a, b, ra, rb = K.elem(ac), K.elem(bc), RefElem(p, ac), RefElem(p, bc)
+    assert (a == b) == (ra.c == rb.c)
+    if a == b:
+        assert hash(a) == hash(b)
+
+    cases = [(a, ra), (b, rb), (a + b, ra + rb), (a - b, ra - rb), (-a, -ra), (a * b, ra * rb)]
+    if not rb.is_zero():
+        cases += [(b.inverse(), rb.inverse()), (a / b, ra * rb.inverse())]
+    if not ra.is_zero() or n >= 0:
+        cases.append((a**n, ra**n))
+    for x, r in cases:
+        assert_integer_form(x)
+        assert x.coeffs == r.c
+        assert x.serialize() == r.serialize()
+        same = K.elem(r.c)
+        assert x == same and hash(x) == hash(same)
+        lo, hi = K.theta.interval
+        assert x.sign() == r.sign(lo, hi)
+        (elo, ehi), _, _ = r.enclosure(lo, hi, Fraction(1, 10**30))
+        if s == 1:
+            assert float(x) == float(r.c[0])
+        else:
+            mid = float((elo + ehi) / 2)
+            assert abs(float(x) - mid) <= 1e-15 * max(1.0, abs(mid))

@@ -21,9 +21,8 @@ from tilingspectra import (
     make_algebraic,
 )
 from tilingspectra import returns
-from tilingspectra.field import QThetaElem
 from tilingspectra.lattice import hnf
-from tilingspectra.ordering import value_order
+from tilingspectra.ordering import _FEW, value_order
 from tilingspectra.returns import (
     ReturnSample,
     _autocorrelation_rows,
@@ -37,6 +36,8 @@ from tilingspectra.returns import (
 )
 from tilingspectra.systemfile import parse_system, serialize_system, system_from_dict
 from tilingspectra.tiles import Patch, PlacedTile
+
+from test_ordering import exact_key
 
 TRIBONACCI = Path(__file__).resolve().parent.parent / "perfbench" / "systems" / "tribonacci.json"
 
@@ -58,7 +59,7 @@ def reference_substitute(system, tiles):
 
 def reference_patch(tiles):
     """Canonical order by exact comparisons only."""
-    return Patch(sorted(tiles, key=lambda t: (t.proto, t.offset)), presorted=True)
+    return Patch(sorted(tiles, key=lambda t: (t.proto, exact_key(t.offset))), presorted=True)
 
 
 def reference_grow(system, tid, n):
@@ -209,8 +210,10 @@ FIELD_OF_WIDTH = {
     ),
     den=st.integers(1, 12),
 )
+@example(rows=[[2**70, -(2**64) * 3, 6, 0, 0, 9], [4, 0, -(3**50), 2**63, 1, 2]], den=12)
 def test_vectors_match_field_construction(rows, den):
-    """d = 2 entries over a cubic field, over den, as int64 or Python ints."""
+    """d = 2 entries over a cubic field, over den, as int64 or Python ints;
+    embed_rows and embed give back the rows over the lowest denominator."""
     field = CUBIC
     coords = intlattice.int_array(rows, 6)
     expected = [
@@ -221,6 +224,11 @@ def test_vectors_match_field_construction(rows, den):
     assert [v.serialize() for v in got] == [v.serialize() for v in expected]
     assert got == expected
     assert all(type(v.entries) is tuple and v.dim == 2 for v in got)
+    back, back_den = intlattice.embed_rows(got)
+    # the same values over the lcm of the entry denominators, a divisor of den
+    assert den % back_den == 0
+    assert [[c * (den // back_den) for c in row] for row in back] == [list(r) for r in rows]
+    assert intlattice.vectors(field, *intlattice.embed(got)) == got
 
 
 @st.composite
@@ -271,24 +279,31 @@ def test_incremental_basis_equals_full_hnf(case, chunk, den):
     assert (module.denominator, module.hnf_rows) == (rden, hnf(reduced.tolist()))
 
 
+# rows far below the others and far apart, which take value_order past
+# the size it sorts by exact comparisons alone
+FAR_ROWS = [[-(10**9) * k, 0] for k in range(1, _FEW + 1)]
+
+
 def test_value_order_near_tie_takes_exact_comparison(monkeypatch):
     """F_41 and F_40 * theta differ by theta^-40 (about 4e-9) at size 1.7e8,
     below float64 resolution: the float keys tie, the bounds overlap, and
     one exact comparison decides."""
     K = golden_field()
     f40, f41 = 102334155, 165580141
-    coords = np.array([[0, f40], [f41, 0], [f41 - 1, 0]], dtype=np.int64)
+    coords = np.array([[0, f40], [f41, 0], [f41 - 1, 0]] + FAR_ROWS, dtype=np.int64)
     exact = [K.vec([K.elem([Fraction(a), Fraction(b)])]) for a, b in coords.tolist()]
-    expected = sorted(range(3), key=lambda i: exact[i])
+    n = len(coords)
+    expected = sorted(range(n), key=lambda i: exact_key(exact[i]))
     calls = []
-    exact_cmp = QThetaElem.cmp
+    exact_sign = NumberField.sign
 
-    def spy(a, b):
-        calls.append((a, b))
-        return exact_cmp(a, b)
+    def spy(field, nums):
+        calls.append(nums)
+        return exact_sign(field, nums)
 
-    monkeypatch.setattr(QThetaElem, "cmp", spy)
-    for order in ([0, 1, 2], [1, 0, 2], [2, 1, 0]):
+    monkeypatch.setattr(NumberField, "sign", spy)
+    rest = list(range(3, n))
+    for order in ([0, 1, 2] + rest, [1, 0] + rest[::-1] + [2], [2] + rest + [1, 0]):
         calls.clear()
         got = value_order(K, coords[order], 1)
         assert [order[i] for i in got] == expected
@@ -301,10 +316,11 @@ def test_value_order_float_inversion_within_bound():
     order from being trusted, and the exact comparison reverses it."""
     K = golden_field()
     q, r = 210837490566052479, 341142225838608218
-    coords = np.array([[r, 0], [0, q]], dtype=np.int64)
+    coords = np.array([[r, 0], [0, q]] + FAR_ROWS, dtype=np.int64)
     assert K.elem([Fraction(r), Fraction(0)]) > K.elem([Fraction(0), Fraction(q)])
-    for order in ([0, 1], [1, 0]):
-        assert [order[i] for i in value_order(K, coords[order], 1)] == [1, 0]
+    far = list(range(2, len(coords)))
+    for order in ([0, 1] + far, [1, 0] + far[::-1]):
+        assert [order[i] for i in value_order(K, coords[order], 1)] == far[::-1] + [1, 0]
 
 
 def test_kenyon_rejects_non_integer_coordinates(fib, monkeypatch):

@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilingspectra import IntPoly, NumberField, QThetaVec, golden_field, make_algebraic
-from tilingspectra.ordering import sorted_by_value
+from tilingspectra import IntPoly, NumberField, golden_field, make_algebraic
+from tilingspectra.ordering import _FEW, sorted_by_value
+
+
+def exact_key(vec):
+    """Sort key of a QThetaVec under the exact lexicographic order of its
+    entries, by QThetaElem comparisons: the reference for value_order."""
+    return vec.entries
+
 
 FIELDS = {
     2: golden_field(),
@@ -33,31 +40,34 @@ def test_sorted_by_value_matches_exact_order(case, grouped):
     _, items = case
     if grouped:
         got = sorted_by_value(items, lambda it: it[1], pre_key=lambda it: it[0])
-        assert got == sorted(items, key=lambda it: (it[0], it[1]))
+        assert got == sorted(items, key=lambda it: (it[0], exact_key(it[1])))
     else:
         got = sorted_by_value(items, lambda it: it[1])
-        assert got == sorted(items, key=lambda it: it[1])
+        assert got == sorted(items, key=lambda it: exact_key(it[1]))
 
 
 @pytest.mark.parametrize("pre_key", [None, lambda v: 0])
 def test_exact_fallback_on_sub_snapshot_gaps(monkeypatch, pre_key):
-    """Rationals within 1e-60 of theta on both sides: the snapshot of theta
-    (width below 1e-30) cannot separate them, so its approximate order puts
-    one on the wrong side of theta and the exact order has to take over."""
+    """Rationals within 1e-60 of theta on both sides: no interval of theta
+    that value_order uses (at most 1e-30 wide) can separate them, so its
+    approximate order puts one on the wrong side of theta and the exact
+    order has to take over."""
     K = golden_field()
     scale = 10**60
     lo = Fraction(scale + isqrt(5 * scale * scale), 2 * scale)  # (1 + sqrt 5) / 2
     hi = lo + Fraction(1, 2 * scale)
-    expected = [K.vec([lo]), K.vec([K.gen()]), K.vec([hi])]
+    # below them, enough integers to take the sort past its exact-only size
+    far = [K.vec([-k]) for k in range(_FEW, 0, -1)]
+    expected = far + [K.vec([lo]), K.vec([K.gen()]), K.vec([hi])]
 
     exact_comparisons = []
-    exact_lt = QThetaVec.__lt__
+    exact_sign = NumberField.sign
 
-    def spy(a, b):
-        exact_comparisons.append((a, b))
-        return exact_lt(a, b)
+    def spy(field, nums):
+        exact_comparisons.append(nums)
+        return exact_sign(field, nums)
 
-    monkeypatch.setattr(QThetaVec, "__lt__", spy)
+    monkeypatch.setattr(NumberField, "sign", spy)
     got = sorted_by_value(expected[::-1], lambda v: v, pre_key=pre_key)
     assert got == expected
     assert exact_comparisons
