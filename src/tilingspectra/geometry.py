@@ -57,8 +57,27 @@ class _Ring:
 
     def ysign(self, a, b) -> int:
         """Sign of a.y - b.y."""
-        s = self.s
-        return self.sign([x - y for x, y in zip(a[s:], b[s:])])
+        return self.cmp(a[self.s :], b[self.s :])
+
+    def cmp(self, e, f) -> int:
+        """Sign of e - f for elements e, f."""
+        return self.sign([x - y for x, y in zip(e, f)])
+
+    def extremes(self, vs):
+        """[(lo, hi)] of the points vs along x and along y: one scan of
+        exact comparisons per axis."""
+        s, cmp = self.s, self.cmp
+        out = []
+        for k in (0, s):
+            lo = hi = vs[0][k : k + s]
+            for v in vs[1:]:
+                e = v[k : k + s]
+                if cmp(e, lo) < 0:
+                    lo = e
+                elif cmp(e, hi) > 0:
+                    hi = e
+            out.append((lo, hi))
+        return out
 
     def sort_along(self, pts, a, b):
         """Points of segment ab ordered from a to b."""
@@ -87,6 +106,12 @@ class _Ring1:
 
     def ysign(self, a, b) -> int:
         return (a[1] > b[1]) - (a[1] < b[1])
+
+    def cmp(self, e, f) -> int:
+        return (e > f) - (e < f)
+
+    def extremes(self, vs):
+        return [(min(c), max(c)) for c in zip(*vs)]
 
     def sort_along(self, pts, a, b):
         return sorted(pts, key=lambda p: self.along(p, a, b))
@@ -166,6 +191,23 @@ def _midpoints(r, a, b, others):
     return [tuple(map(add, p, q)) for p, q in zip(pts, pts[1:])]
 
 
+def _apart(r, p, q, closed: bool) -> bool:
+    """Are the boxes [(lo, hi)] per axis p and q (see `extremes`)
+    separated along some axis, so that the polygons they bound share no
+    interior point, or with `closed` no point at all?  Along an axis,
+    boxes whose ranges only touch share no interior point."""
+    least = 0 if closed else 1  # the ranges meet iff every sign(hi - lo) >= least
+    return any(
+        r.cmp(p_hi, q_lo) < least or r.cmp(q_hi, p_lo) < least
+        for (p_lo, p_hi), (q_lo, q_hi) in zip(p, q)
+    )
+
+
+def _convex(r, vs) -> bool:
+    """Is the simple counterclockwise polygon vs convex: no right turn?"""
+    return all(r.orient(a, b, c) >= 0 for a, b, c in zip(vs[-1:] + vs[:-1], vs, vs[1:] + vs[:1]))
+
+
 def _same_cycle(p, q) -> bool:
     return len(p) == len(q) and any(p == q[k:] + q[:k] for k in range(len(q)))
 
@@ -185,6 +227,9 @@ def interiors_overlap(field, p, q) -> bool:
     """Whether two simple polygons, given as kernel points over one
     denominator, share interior points; exact."""
     r = _ring(field)
+    # the interiors lie inside the open bounding boxes
+    if _apart(r, r.extremes(p), r.extremes(q), closed=False):
+        return False
     if _same_cycle(p, q):
         return True
     for a, b in _edges(p):
@@ -205,6 +250,10 @@ def polygon_contains(field, outer, inner) -> bool:
     """inner subset of outer (closed regions) for two simple polygons
     given as kernel points over one denominator; exact."""
     r = _ring(field)
+    if _convex(r, outer):
+        # a closed convex set holds the hull of any points it holds, and
+        # a point is in it iff it lies on the left of or on every edge
+        return all(r.orient(a, b, v) >= 0 for v in inner for a, b in _edges(outer))
     if any(_locate(r, v, outer) == OUTSIDE for v in inner):
         return False
     outer2, inner2 = _doubled(outer), _doubled(inner)

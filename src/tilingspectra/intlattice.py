@@ -160,6 +160,11 @@ def _in_span(basis, rows: np.ndarray) -> np.ndarray:
 def theta_matrix(field: NumberField, d: int) -> np.ndarray:
     """Integer (d*s, d*s) matrix T with (rows @ T) = theta * rows: one
     companion block per entry, whose row i holds theta * theta^i."""
+    return int_array(theta_rows(field, d), d * field.degree)
+
+
+def theta_rows(field: NumberField, d: int) -> list:
+    """The rows of `theta_matrix(field, d)` as lists of Python ints."""
     s = field.degree
     b = field.minpoly.coeffs  # ascending, monic
     rows = [[0] * (d * s) for _ in range(d * s)]
@@ -168,7 +173,7 @@ def theta_matrix(field: NumberField, d: int) -> np.ndarray:
             rows[k + i][k + i + 1] = 1
         for j in range(s):
             rows[k + s - 1][k + j] = -b[j]
-    return int_array(rows, d * s)
+    return rows
 
 
 def power_rows(rows: np.ndarray, theta: np.ndarray, s: int) -> np.ndarray:
@@ -271,24 +276,35 @@ class LatticeForm(NamedTuple):
     rank: np.ndarray  # canonical rank (order of the ids) of each type index
 
 
+def rule_rows(order, rules):
+    """(kinds, rows, den, spans): the children of rules {tid: [PlacedTile]}
+    over prototile ids `order`, rule after rule, in plain ints: their
+    type indices, their offsets as the int rows over den of `embed_rows`,
+    and per prototile the range of its children's rows."""
+    index = {tid: i for i, tid in enumerate(order)}
+    children = [ch for tid in order for ch in rules[tid]]
+    rows, den = embed_rows([ch.offset for ch in children])
+    spans, first = [], 0
+    for tid in order:
+        spans.append(range(first, first + len(rules[tid])))
+        first += len(rules[tid])
+    return [index[ch.proto] for ch in children], rows, den, spans
+
+
 def lattice_form(field: NumberField, d: int, order, rules) -> LatticeForm:
     """The LatticeForm of rules {tid: [PlacedTile]} over prototile ids
     `order`, with read-only arrays."""
-    index = {tid: i for i, tid in enumerate(order)}
-    width = d * field.degree
-    children = [ch for tid in order for ch in rules[tid]]
-    rows, den = embed_rows([ch.offset for ch in children])
-    offsets = int_array(rows, width)
-    count = np.array([len(rules[tid]) for tid in order], dtype=np.int64)
+    kinds, rows, den, spans = rule_rows(order, rules)
+    offsets = int_array(rows, d * field.degree)
     theta = theta_matrix(field, d)
     ranks = {tid: r for r, tid in enumerate(sorted(order))}
     form = LatticeForm(
         den=den,
         theta=theta,
         theta_col_sum=max(1, abs_max(np.abs(theta).sum(axis=0))),
-        child_count=count,
-        child_first=np.cumsum(count) - count,
-        child_types=np.array([index[ch.proto] for ch in children], dtype=np.int64),
+        child_count=np.array([len(span) for span in spans], dtype=np.int64),
+        child_first=np.array([span.start for span in spans], dtype=np.int64),
+        child_types=np.array(kinds, dtype=np.int64),
         child_offsets=offsets,
         offset_max=abs_max(offsets),
         rank=np.array([ranks[tid] for tid in order], dtype=np.int64),

@@ -6,13 +6,16 @@ does not change the order.  Vectors compare lexicographically, entry by
 entry, and entries by `NumberField.sign` of their difference.  Degree 1
 sorts the integers themselves.  Higher degrees sort by float64 keys,
 row @ (theta^k), with theta^k taken from a frozen isolating interval of
-theta narrower than 1e-30, and each key carries a sound bound on its
-distance from the exact value: the interval's width plus float rounding
-of the conversions, products and sums.  The sorted order is verified on
+theta, and each key carries a sound bound on its distance from the
+exact value: the interval's width plus float rounding of the
+conversions, products and sums.  The sorted order is verified on
 adjacent items: entries with equal coefficients are equal, a gap larger
 than the summed bounds certifies strict order, anything tighter falls
-back to one exact sign, and an inversion (adversarial coefficients only)
-rebuilds the whole order with exact comparisons.  At most _FEW rows are
+back to one exact sign.  The first snapshot of theta is narrower than
+2^-60, which separates the keys of most inputs; an inversion found there
+takes a second snapshot, narrower than 1e-30, and an inversion found at
+that width (adversarial coefficients only) rebuilds the whole order
+with exact comparisons.  At most _FEW rows are
 sorted by exact comparisons alone: their few signs cost less than the
 float keys and the refinement of theta.
 """
@@ -27,7 +30,8 @@ from .field import QThetaElem
 from .intlattice import embed
 from .polys import iv_mul
 
-_SNAPSHOT_WIDTH = Fraction(1, 10**30)
+_COARSE_WIDTH = Fraction(1, 2**60)  # the first snapshot of theta
+_SNAPSHOT_WIDTH = Fraction(1, 10**30)  # the snapshot after an inversion
 _FEW = 8  # rows sorted by exact comparisons alone
 _U = 2.0**-53  # unit roundoff of float64
 
@@ -71,9 +75,19 @@ def value_order(field, coords, den, groups=None):
     if field.degree == 1:
         return np.lexsort([*coords.T[::-1], groups])
 
-    keys = _float_keys(field, coords)
+    perm = _certified_order(field, coords, groups, _COARSE_WIDTH)
+    if perm is None and field.theta.width() >= _SNAPSHOT_WIDTH:
+        perm = _certified_order(field, coords, groups, _SNAPSHOT_WIDTH)
+    return exact_order() if perm is None else perm
+
+
+def _certified_order(field, coords, groups, width):
+    """The (group, value) order of the rows by float keys from a snapshot
+    of theta narrower than `width`, or None when the keys do not fit
+    float64 or the check of adjacent rows finds an inversion."""
+    keys = _float_keys(field, coords, width)
     if keys is None:
-        return exact_order()
+        return None
     approx, bound = keys
     perm = np.lexsort([*approx.T[::-1], groups])
     a, b = perm[:-1], perm[1:]
@@ -85,23 +99,24 @@ def value_order(field, coords, den, groups=None):
     gap = approx[b, entry] - approx[a, entry]
     tol = (bound[a, entry] + bound[b, entry]) * (1 + 1e-6)
     if (gap < -tol).any():
-        return exact_order()
+        return None
     s = field.degree
     for k in np.nonzero(gap <= tol)[0].tolist():
         i, j, e = int(a[k]), int(b[k]), int(entry[k]) * s
         if field.sign((coords[i, e : e + s] - coords[j, e : e + s]).tolist()) > 0:
-            return exact_order()
+            return None
     return perm
 
 
-def _float_keys(field, coords):
+def _float_keys(field, coords, width):
     """(approx, bound), each (n, d): approx[i, k] is a float64 value of
     entry k of row i (times the denominator) and |approx - exact| <=
-    bound.  None when the rows do not fit float64."""
+    bound, from a snapshot of theta narrower than `width`.  None when the
+    rows do not fit float64."""
     s = field.degree
     theta = field.theta
-    if theta.width() > _SNAPSHOT_WIDTH:
-        theta.refine_below(_SNAPSHOT_WIDTH)
+    if theta.width() >= width:
+        theta.refine_below(width)
     iv = theta.scaled_interval  # one snapshot, read once: (a/m, b/m)
     power, scale = (1, 1), 1  # theta^k lies in power / scale
     t, err = [], []

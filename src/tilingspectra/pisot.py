@@ -20,6 +20,7 @@ integer arithmetic:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 
 from .algebraic import AlgebraicReal
@@ -32,6 +33,10 @@ from .polys import (
     reciprocal,
     sturm_count,
 )
+
+
+_ROOT_TOL = 1e-9  # how far np.roots may put theta from its true value
+_PICK_WIDTH = Fraction(1, 10**20)  # the width float(theta) refines below
 
 
 class _Degenerate(Exception):
@@ -203,14 +208,38 @@ def is_pisot(theta: AlgebraicReal) -> PisotCertificate:
 
 
 def _conjugate_moduli(theta: AlgebraicReal):
-    """Approximate conjugate moduli (display only, never used in verdicts)."""
+    """Approximate conjugate moduli (display only, never used in verdicts):
+    the moduli of every `np.roots` value but theta's own."""
     import numpy as np
 
     coeffs = list(reversed(theta.minpoly.coeffs))
     if len(coeffs) <= 2:
         return ()
     roots = np.roots([float(c) for c in coeffs])
-    target = float(theta)
-    idx = min(range(len(roots)), key=lambda i: abs(roots[i] - target))
+    idx = _theta_root(theta, roots)
     moduli = sorted(abs(r) for i, r in enumerate(roots) if i != idx)
     return tuple(float(m) for m in moduli)
+
+
+def _theta_root(theta: AlgebraicReal, roots) -> int:
+    """Index of theta's value among the float roots: the one root within
+    _ROOT_TOL (relative) of the real line and of theta's isolating
+    interval, bisected only while more than one root is that close.
+    Every other root lies farther than _ROOT_TOL from theta, so when
+    np.roots puts theta within _ROOT_TOL of its true value this is the
+    root nearest theta.  With no such root, or several left at an
+    interval narrower than _PICK_WIDTH, the root nearest theta's
+    midpoint is taken."""
+    def close(z, lo, hi) -> bool:
+        tol = _ROOT_TOL * max(1.0, abs(z))
+        return abs(z.imag) <= tol and lo - tol <= z.real <= hi + tol
+
+    while True:
+        a, b, m = theta.scaled_interval
+        near = [i for i, z in enumerate(roots) if close(z, a / m, b / m)]
+        if len(near) == 1:
+            return near[0]
+        if not near or theta.width() < _PICK_WIDTH:
+            target = float(theta)
+            return min(range(len(roots)), key=lambda i: abs(roots[i] - target))
+        theta.refine(4)

@@ -21,6 +21,7 @@ from .errors import BudgetError, TilingError, ValidationError
 from .field import NumberField, QThetaElem, QThetaVec, unchecked
 from .geometry import (
     Polygon,
+    _apart,
     _common,
     _edges,
     _ring,
@@ -34,8 +35,9 @@ from .intlattice import (
     embed_rows,
     int_array,
     lattice_form,
+    rule_rows,
     substitute,
-    theta_matrix,
+    theta_rows,
     vectors,
 )
 from .lattice import _matmul, int_matrix_power
@@ -326,19 +328,17 @@ def validate(system: SubstitutionSystem) -> ValidationReport:
         return rep
     rep.add("expansion", True, "theta > 1")
 
-    form = system.lattice_form()
-    shapes, den = _shapes(system)
+    kinds, offsets, rden, rules = rule_rows(system.order, system.rules)
+    shapes, den = _shapes(system, rden)
     vols, grown, vden = _volumes(system, shapes, den)
-    theta = form.theta.tolist()
-    up = den // form.den
-    offsets = [tuple(c * up for c in row) for row in form.child_offsets.tolist()]
-    kinds = form.child_types.tolist()
-    for j, (tid, first) in enumerate(zip(system.order, form.child_first.tolist())):
+    theta = theta_rows(system.field, system.dimension)
+    up = den // rden
+    offsets = [tuple(c * up for c in row) for row in offsets]
+    for j, (tid, rows) in enumerate(zip(system.order, rules)):
         children = system.rules[tid]
         if not children:
             rep.add(f"rule[{tid}].nonempty", False, "empty rule patch")
             continue
-        rows = range(first, first + len(children))
         total = tuple(map(sum, zip(*(vols[kinds[i]] for i in rows))))
         ok = total == grown[j]
         rep.add(
@@ -395,10 +395,23 @@ def _validate_rule(system, rep, tid, kids, region):
 
 def _chain(field, segs, region):
     """(ok, detail): do the segments, sorted by exact start, cover the
-    region end to end without gaps?"""
-    starts = int_array([start for start, _ in segs], field.degree)
-    segs = [segs[i] for i in value_order(field, starts, 1).tolist()]
+    region end to end without gaps?
+
+    Lengths are positive, so the segments cover it exactly when the walk
+    from the region's start, each segment's end being the next one's
+    start, takes every segment once and stops at the region's end; that
+    walk is the sorted order.  Only a failure is sorted, to name it."""
     (start, end) = region
+    after = dict(segs)  # a repeated start leaves fewer than len(segs) steps
+    at = start
+    for _ in segs:
+        at = after.get(at)
+        if at is None:
+            break
+    if at == end:
+        return True, ""
+    starts = int_array([a for a, _ in segs], field.degree)
+    segs = [segs[i] for i in value_order(field, starts, 1).tolist()]
     if segs[0][0] != start:
         return False, "first child does not start at 0"
     if any(a[1] != b[0] for a, b in zip(segs, segs[1:])):
@@ -417,7 +430,7 @@ def _volumes(system, shapes, den):
         vols, vden = [tuple(map(sub, b, a)) for a, b in shapes], den
     else:
         vols, vden = [area2(field, vs) for vs in shapes], 2 * den * den
-    companion = theta_matrix(field, 1).tolist()
+    companion = theta_rows(field, 1)
     grown = vols
     for _ in range(system.dimension):
         grown = [_rowmul(v, companion) for v in grown]
@@ -437,8 +450,7 @@ def _validate_periods(system, rep, shapes, den):
             return
     field = system.field
     width = system.dimension * field.degree
-    form = system.lattice_form()
-    theta = form.theta.tolist()
+    theta = theta_rows(field, system.dimension)
     grown = {}  # tid -> grow_lattice(tid, depth), grown when first checked
     regions = []  # theta^depth * support, over den
     for region in shapes:
@@ -477,7 +489,7 @@ def _validate_periods(system, rep, shapes, den):
                     field,
                     int_array([at for _, at in bad], width),
                     big,
-                    groups=form.rank[types[picked]],
+                    groups=system.lattice_form().rank[types[picked]],
                 )[0]
                 i, at = bad[first]
                 (offset,) = vectors(field, int_array([at], width), big)
@@ -493,12 +505,11 @@ def _validate_periods(system, rep, shapes, den):
         rep.add(f"period[{g.serialize()}]", ok, detail or f"{matched} tiles matched")
 
 
-def _shapes(system):
-    """(shapes, den): the prototile supports as kernel points over one
-    denominator den, a multiple of lattice_form().den, in system.order."""
+def _shapes(system, den):
+    """(shapes, den'): the prototile supports as kernel points over one
+    denominator den', a multiple of den, in system.order."""
     den, shapes = _common(
-        *(_support_ints(system, tid) for tid in system.order),
-        ([], system.lattice_form().den),
+        *(_support_ints(system, tid) for tid in system.order), ([], den)
     )
     return shapes[:-1], den
 
@@ -545,7 +556,7 @@ def perron_check(system: SubstitutionSystem):
     """Exact left-eigenvector identity of the volume vector, plus a
     floating Perron eigenvalue for cross-reading."""
     mat = system.substitution_matrix()
-    vols, grown, _ = _volumes(system, *_shapes(system))
+    vols, grown, _ = _volumes(system, *_shapes(system, 1))
     for j, tid in enumerate(system.order):
         acc = tuple(
             sum(mat[i][j] * v[k] for i, v in enumerate(vols)) for k in range(len(grown[j]))
@@ -598,18 +609,12 @@ def legal_pairs(system: SubstitutionSystem) -> frozenset:
     have finite local complexity (Solomyak 1997), so more than
     DEFAULT_GROW_BUDGET pairs raise BudgetError.
     """
-    form = system.lattice_form()
     r = _ring(system.field)
-    # a key's diff is over form.den, so diff times up is its shift
-    shapes, den = _shapes(system)
-    up = den // form.den
-    theta = form.theta.tolist()
-    kinds = form.child_types.tolist()
-    offsets = form.child_offsets.tolist()
-    rules = [
-        range(first, first + count)
-        for first, count in zip(form.child_first.tolist(), form.child_count.tolist())
-    ]
+    kinds, offsets, rden, rules = rule_rows(system.order, system.rules)
+    # a key's diff is over rden, lattice_form().den, so diff times up is its shift
+    shapes, den = _shapes(system, rden)
+    up = den // rden
+    theta = theta_rows(system.field, system.dimension)
     zero = (0,) * len(theta)
     # the pair (t, t, 0) of a tile with itself substitutes to the seeds
     frontier = [(t, t, zero) for t in range(len(system.order))]
@@ -649,6 +654,8 @@ def _meet(system, r, p, q) -> bool:
             system.field.sign(list(map(sub, start, end))) <= 0
             for start, end in ((q0, p1), (p0, q1))
         )
+    if _apart(r, r.extremes(p), r.extremes(q), closed=True):
+        return False
     return any(_touch(r, a, b, c, d) for a, b in _edges(p) for c, d in _edges(q))
 
 

@@ -358,3 +358,78 @@ def test_overlap_found_only_by_splitting_edges(field):
         p, q = (Polygon([field.vec([pool[x], pool[y]]) for x, y in vs]) for vs in (p, q))
         assert ref_overlap(p.vertices, q.vertices)
         assert overlap(p, q) and overlap(q, p)
+
+
+@st.composite
+def convex_polygons(draw, field):
+    """Convex polygons with three to five vertices, some of them
+    collinear: a rectangle with an extra vertex on its bottom edge, or
+    with one corner cut off, or a triangle."""
+    pool = coordinate_pool(field)
+    idx = st.integers(0, len(pool) - 1)
+    xs = sorted(draw(st.lists(idx, min_size=3, max_size=3, unique=True)))
+    ys = sorted(draw(st.lists(idx, min_size=3, max_size=3, unique=True)))
+    (x0, x1, x2), (y0, y1, y2) = [pool[i] for i in xs], [pool[i] for i in ys]
+    pts = draw(st.sampled_from([
+        [(x0, y0), (x1, y0), (x2, y0), (x2, y2), (x0, y2)],
+        [(x0, y0), (x2, y0), (x2, y1), (x1, y2), (x0, y2)],
+        [(x0, y0), (x2, y0), (x1, y2)],
+    ]))
+    shift = draw(st.integers(0, len(pts) - 1))
+    return Polygon([field.vec(v) for v in pts[shift:] + pts[:shift]])
+
+
+def box(vertices):
+    """(x_lo, x_hi, y_lo, y_hi) of field-element vertices."""
+    xs, ys = [v[0] for v in vertices], [v[1] for v in vertices]
+    return min(xs), max(xs), min(ys), max(ys)
+
+
+@FIELDS
+def test_box_and_convex_shortcuts_match_reference(field):
+    """Pairs whose bounding boxes touch along an edge or a corner, share
+    a box edge, or overlap a little, with convex and non-convex outers:
+    the shortcuts must not change an answer."""
+    pool = coordinate_pool(field)
+    steps = [pool[i + 1] - pool[i] for i in range(len(pool) - 1)]
+    zero = field.rational(0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(convex_polygons(field), polygons(field)),
+        st.one_of(convex_polygons(field), polygons(field)),
+        st.sampled_from(["x", "y", "corner", "edge"]),
+        st.sampled_from([zero, *steps]),
+    )
+    def check(p, q, touch, slack):
+        px0, px1, py0, py1 = box(p.vertices)
+        qx0, qx1, qy0, qy1 = box(q.vertices)
+        # q moved so its box meets p's on the right, above or at the
+        # corner, then pulled back by `slack` into p's box
+        dx = {"x": px1 - qx0, "y": px0 - qx0, "corner": px1 - qx0, "edge": px0 - qx0}[touch]
+        dy = {"x": py0 - qy0, "y": py1 - qy0, "corner": py1 - qy0, "edge": py0 - qy0}[touch]
+        if touch != "edge":
+            dx, dy = (dx - slack, dy) if touch == "x" else (dx, dy - slack)
+        moved = q.translated(field.vec([dx, dy]))
+        for a, b in ((p, moved), (moved, p)):
+            assert overlap(a, b) == ref_overlap(a.vertices, b.vertices)
+            assert contains(a, b) == ref_contains(a.vertices, b.vertices)
+
+    check()
+
+
+def test_box_rejection_skips_the_location_tests(monkeypatch):
+    """Squares whose boxes share only an edge are told apart before any
+    point is located; a convex outer is decided by its edges alone."""
+    import tilingspectra.geometry as geometry
+
+    located = []
+    monkeypatch.setattr(geometry, "_locate", lambda *args: located.append(args))
+    for field in (RATIONAL, GOLDEN):
+        sq = [(0, 0), (1, 0), (1, 1), (0, 1)]
+        p = Polygon([field.vec(v) for v in sq])
+        q = Polygon([field.vec((x + 1, y)) for x, y in sq])
+        big = Polygon([field.vec((2 * x, 2 * y)) for x, y in sq])
+        assert not overlap(p, q) and not overlap(q, p)
+        assert contains(big, p) and contains(big, q) and not contains(p, big)
+    assert located == []

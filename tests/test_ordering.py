@@ -71,3 +71,13 @@ def test_exact_fallback_on_sub_snapshot_gaps(monkeypatch, pre_key):
     got = sorted_by_value(expected[::-1], lambda v: v, pre_key=pre_key)
     assert got == expected
     assert exact_comparisons
+
+
+def test_fresh_theta_sorts_at_the_coarse_snapshot():
+    """Keys far apart are certified at the first, coarse snapshot of
+    theta: a fresh field is not refined to the 1e-30 snapshot."""
+    K = NumberField(make_algebraic(IntPoly((-1, -1, 1)), Fraction(8, 5)))
+    vecs = [K.vec([K.elem([a, b])]) for a in range(-3, 3) for b in range(-2, 2)]
+    expected = sorted(vecs, key=exact_key)
+    assert sorted_by_value(vecs[::-1], lambda v: v) == expected
+    assert K.theta.width() > Fraction(1, 10**30)

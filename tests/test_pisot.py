@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tilingspectra import IntPoly, TilingError, is_pisot, make_algebraic
-from tilingspectra.pisot import circle_root_count, inside_unit_disc_count
+from tilingspectra.pisot import _conjugate_moduli, circle_root_count, inside_unit_disc_count
 
 from test_polys import cauchy_index, is_squarefree
 
@@ -161,3 +161,39 @@ def test_circle_root_count_matches_nroots(cyclotomic, factor):
     gaps = [abs(abs(complex(r)) - 1) for r in poly.nroots(n=20, maxsteps=200)]
     assume(not any(1e-12 <= g < 1e-6 for g in gaps))  # too close to call numerically
     assert circle_root_count(p) == sum(g < 1e-12 for g in gaps)
+
+
+def ref_conjugate_moduli(theta):
+    """The moduli of every np.roots value but the one nearest float(theta)."""
+    roots = np.roots([float(c) for c in reversed(theta.minpoly.coeffs)])
+    target = float(theta)
+    idx = min(range(len(roots)), key=lambda i: abs(roots[i] - target))
+    return tuple(sorted(float(abs(r)) for i, r in enumerate(roots) if i != idx))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(lambda d: st.lists(st.integers(-6, 6), min_size=d, max_size=d)),
+    st.integers(0, 5),
+)
+def test_conjugate_moduli_pick_nearest_root(low, which):
+    """On a fresh theta, whose isolating interval is wide, the display
+    picks the same root as the nearest one to float(theta)."""
+    coeffs = [*low, 1]
+    real = sorted(r.real for r in np.roots(list(reversed(coeffs))) if abs(r.imag) < 1e-9)
+    assume(real)
+    approx = Fraction(real[which % len(real)]).limit_denominator(10**6)
+    try:
+        make_algebraic(IntPoly(coeffs), approx)
+    except TilingError:
+        assume(False)  # reducible, uncertified or ambiguous
+    fresh, reference = (make_algebraic(IntPoly(coeffs), approx) for _ in range(2))
+    assert _conjugate_moduli(fresh) == ref_conjugate_moduli(reference)
+
+
+@pytest.mark.parametrize("coeffs, approx", [([-1, -1, 1], "1.6"), ([-1, -1, -1, 1], "1.8")])
+def test_pisot_display_does_not_refine_theta_far(coeffs, approx):
+    # the conjugates are far from theta: the fresh interval picks its root
+    theta = make_algebraic(IntPoly(coeffs), Fraction(approx))
+    assert is_pisot(theta).pisot
+    assert theta.width() > Fraction(1, 10**6)

@@ -5,14 +5,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tilingspectra import BudgetError, TilingError, ValidationError
+from tilingspectra import (
+    BudgetError,
+    IntPoly,
+    NumberField,
+    TilingError,
+    ValidationError,
+    golden_field,
+    make_algebraic,
+)
 from tilingspectra.corpus import load
 from tilingspectra.lattice import int_matrix_power
 from tilingspectra.systemfile import system_from_dict, serialize_system
 from tilingspectra import tiles
 from tilingspectra.systemfile import parse_system
 from tilingspectra.tiles import (
+    _chain,
     _support_ints,
     is_primitive,
     legal_pairs,
@@ -473,3 +484,68 @@ def test_overlap_inscribed_diamond(grid2):
     diamond = [(1, 0), (2, 1), (1, 2), (0, 1)]
     assert interiors_overlap(K, sq, diamond)
     assert interiors_overlap(K, diamond, sq)
+
+
+CHAIN_FIELDS = [
+    NumberField(make_algebraic(IntPoly([-2, 1]), 2)),
+    golden_field(),
+    NumberField(make_algebraic(IntPoly((-1, -1, -1, 1)), Fraction(184, 100))),
+]
+
+
+def ref_chain(field, segs, region):
+    """The endpoint chain check as it was: sort by exact start, then
+    compare neighbours."""
+    segs = sorted(segs, key=lambda seg: field.elem(list(seg[0])))
+    start, end = region
+    if segs[0][0] != start:
+        return False, "first child does not start at 0"
+    if any(a[1] != b[0] for a, b in zip(segs, segs[1:])):
+        return False, "gap or overlap in the endpoint chain"
+    if segs[-1][1] != end:
+        return False, "last child does not reach theta * length"
+    return True, ""
+
+
+@st.composite
+def chains(draw):
+    """(field, segments, region): a chain of positive-length segments
+    covering (0, end), then broken one way, and shuffled."""
+    field = draw(st.sampled_from(CHAIN_FIELDS))
+    s = field.degree
+    # increasing kernel points: small combinations of the power basis
+    pool = sorted(
+        {tuple([a] + [b] * (s > 1) + [0] * (s - 2)) for a in range(-3, 6) for b in range(3)},
+        key=lambda e: field.elem(list(e)),
+    )
+    zero = pool.index((0,) * s)
+    cuts = sorted(draw(st.sets(st.integers(zero + 1, len(pool) - 1), min_size=1, max_size=5)))
+    points = [pool[zero]] + [pool[i] for i in cuts]
+    segs = list(zip(points, points[1:]))
+    region = (points[0], points[-1])
+    kind = draw(st.sampled_from(["valid", "gap", "overlap", "duplicate", "before", "past", "random"]))
+    if kind == "gap" and len(segs) > 1:
+        segs.pop(draw(st.integers(0, len(segs) - 2)))
+    elif kind == "overlap" and len(segs) > 1:
+        k = draw(st.integers(0, len(segs) - 2))
+        segs[k] = (segs[k][0], segs[k + 1][1])
+    elif kind == "duplicate":
+        a, b = segs[draw(st.integers(0, len(segs) - 1))]
+        later = [e for e in pool[pool.index(a) + 1 :] if e != b]
+        segs.append((a, draw(st.sampled_from(later or [b]))))
+    elif kind == "before":
+        segs[0] = (pool[draw(st.integers(0, zero - 1))], segs[0][1])
+    elif kind == "past" and cuts[-1] < len(pool) - 1:
+        segs[-1] = (segs[-1][0], pool[draw(st.integers(cuts[-1] + 1, len(pool) - 1))])
+    elif kind == "random":
+        pairs = st.tuples(st.integers(0, len(pool) - 2), st.integers(1, len(pool) - 1))
+        drawn = draw(st.lists(pairs.filter(lambda ij: ij[0] < ij[1]), min_size=1, max_size=5))
+        segs = [(pool[i], pool[j]) for i, j in drawn]
+    return field, draw(st.permutations(segs)), region
+
+
+@settings(max_examples=300, deadline=None)
+@given(chains())
+def test_chain_walk_matches_sorted_reference(case):
+    field, segs, region = case
+    assert _chain(field, list(segs), region) == ref_chain(field, segs, region)

@@ -1,7 +1,8 @@
 """CLI byte-identity corpus: one digest line per command.
 
 Runs `cli_dispatch` in-process over the five bundled systems, tribonacci
-and grid2-plain, and prints for each command one line
+and grid2-plain, and `validate` on a few broken system files derived
+from them, and prints for each command one line
 
     sha256(stdout) sha256(stderr) sha256(svg) exit argv
 
@@ -39,6 +40,21 @@ SYSTEMS = {
     "grid2": "src/tilingspectra/systems/grid2.json",
     "tribonacci": "perfbench/systems/tribonacci.json",
     "grid2-plain": "perfbench/systems/grid2-plain.json",
+}
+
+
+# broken copies of bundled systems, name -> (source system, mutation);
+# `validate` on each exits 1, which pins the bytes of failure paths
+BROKEN = {
+    "grid2-overlap": ("grid2", lambda s: s["rules"]["sq"][1].update(offset=[["1/2"], ["0"]])),
+    "grid2-badperiod": ("grid2", lambda s: s.update(periods=[[["1/2"], ["0"]]])),
+    "chair-moved": (
+        "chair",
+        lambda s: s["prototiles"][0]["support"]["vertices"].__setitem__(3, [["3/2"], ["3/2"]]),
+    ),
+    "tm-past-end": ("tm", lambda s: s["rules"]["a"][1].update(offset=[["2"]])),
+    "tm-late-start": ("tm", lambda s: s["rules"]["a"][0].update(offset=[["1/2"]])),
+    "fibonacci-gap": ("fibonacci", lambda s: s["rules"]["a"][1].update(offset=[["1/2", "1"]])),
 }
 
 
@@ -91,10 +107,16 @@ def corpus_lines():
     with tempfile.TemporaryDirectory() as tmp:
         for name, rel in SYSTEMS.items():
             shutil.copyfile(ROOT / rel, pathlib.Path(tmp) / f"{name}.json")
+        for name, (source, mutate) in BROKEN.items():
+            spec = json.loads((ROOT / SYSTEMS[source]).read_text())
+            mutate(spec)
+            (pathlib.Path(tmp) / f"{name}.json").write_text(json.dumps(spec))
         os.chdir(tmp)
         try:
             for name in SYSTEMS:
                 commands_of(name, lines)
+            for name in BROKEN:
+                run(["validate", f"{name}.json"], lines)
         finally:
             os.chdir(here)
     return lines
