@@ -123,7 +123,8 @@ def _vector_arg(system, text: str, label: str):
     rational x of a short form stands for the entry [x, 0, ..., 0].
     Input that is not such a vector raises SystemFileError."""
     try:
-        data = json.loads(text)
+        # JSON integers as their digits: a coordinate is read from text either way
+        data = json.loads(text, parse_int=str)
     except json.JSONDecodeError as exc:
         raise SystemFileError(f"{label} is not valid JSON: {exc.msg}", label) from None
     except RecursionError:  # the decoder recurses once per nesting level
@@ -132,9 +133,9 @@ def _vector_arg(system, text: str, label: str):
     if where:  # Python reads JSON true as 1, a coordinate the user never wrote
         raise SystemFileError("expected 'p/q' strings or integers, got a boolean", where)
     d, s = system.dimension, system.field.degree
-    if isinstance(data, (str, int)):
+    if isinstance(data, str):
         data = [data]
-    if isinstance(data, list) and data and all(isinstance(x, (str, int)) for x in data):
+    if isinstance(data, list) and data and all(isinstance(x, str) for x in data):
         if len(data) == s and d == 1:
             data = [data]
         elif len(data) == d:
@@ -147,9 +148,6 @@ def _vector_arg(system, text: str, label: str):
             )
     if not isinstance(data, list) or not all(isinstance(coord, list) for coord in data):
         raise SystemFileError(f"expected a vector of {d} coordinates", label)
-    data = [
-        [str(c) if isinstance(c, int) else c for c in coord] for coord in data
-    ]
     return _parse_vec(data, system.field, d, label)
 
 

@@ -10,7 +10,7 @@ integer, so Z[theta] products stay integral.  A sign is
 and points along a segment are put in order by `ordering.value_order`,
 the one exact order.  A doubled area is its s power-basis coordinates
 over D^2.  Nothing here ever rounds.  `Polygon` holds a support's
-Q(theta) vertices and their kernel points.
+Q(theta) vertices and checks them on their kernel points.
 """
 
 from __future__ import annotations
@@ -272,28 +272,18 @@ def polygon_contains(field, outer, inner) -> bool:
 class Polygon:
     """Simple polygon with counterclockwise Q(theta) vertices."""
 
-    __slots__ = ("vertices", "_ints")
+    __slots__ = ("vertices",)
 
     def __init__(self, vertices, check: bool = True):
         vertices = tuple(vertices)
         if len(vertices) < 3:
             raise TilingError("polygon needs at least 3 vertices")
         self.vertices = vertices
-        # embed_rows of the vertices, filled on first use; the vertices
-        # never change, so a racing fill stores an equal value
-        self._ints = None
         if check:
             self.validate()
 
-    def ints(self):
-        """(rows, den): the vertices as kernel points over den."""
-        form = self._ints
-        if form is None:
-            form = self._ints = embed_rows(self.vertices)
-        return form
-
     def validate(self):
-        vs, _ = self.ints()
+        vs, _ = embed_rows(self.vertices)
         field = self.vertices[0].field
         r = _ring(field)
         n = len(vs)

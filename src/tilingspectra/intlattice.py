@@ -6,7 +6,9 @@ minimal polynomial, and a vector of d entries by kron(I_d, companion).
 Every offset a substitution produces therefore lies in (1/D) Z[theta]^d,
 with D the lcm of the rule offsets' denominators.  A set of n vectors is
 stored as an (n, d*s) integer array of D times their power-basis
-coordinates, and a patch adds an array of prototile indices.
+coordinates, and a patch adds an array of prototile indices.  A system's
+rules are embedded once, into a RuleForm of Python ints, and its
+LatticeForm arrays are built from that.
 
 Arrays are int64 while a bound on every entry an operation can produce
 stays below `INT64_LIMIT`, and arrays of Python ints (dtype object)
@@ -17,7 +19,9 @@ exact solver, `lattice.field_solve`.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import gcd, lcm
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -263,7 +267,7 @@ def vectors(field: NumberField, coords: np.ndarray, den: int):
 
 
 class LatticeForm(NamedTuple):
-    """A substitution system's rules in integer form over `den`."""
+    """A RuleForm as numpy arrays, for the substitution step."""
 
     den: int
     theta: np.ndarray  # (w, w): rows @ theta = theta * rows
@@ -276,35 +280,62 @@ class LatticeForm(NamedTuple):
     rank: np.ndarray  # canonical rank (order of the ids) of each type index
 
 
-def rule_rows(order, rules):
-    """(kinds, rows, den, spans): the children of rules {tid: [PlacedTile]}
-    over prototile ids `order`, rule after rule, in plain ints: their
-    type indices, their offsets as the int rows over den of `embed_rows`,
-    and per prototile the range of its children's rows."""
+class RuleForm(NamedTuple):
+    """A substitution system's rules in plain ints, built once with the
+    system.  Every field is an int or a tuple, so the value is immutable.
+    Child rows run rule after rule in the order of the prototile ids."""
+
+    kinds: tuple  # per child: its prototile index
+    offsets: tuple  # per child: its offset row over den
+    den: int  # the lcm of the rule offsets' denominators
+    spans: tuple  # per prototile: the range of its children's rows
+    shapes: tuple  # per prototile: its support's kernel points over den * up
+    up: int  # den * up also clears the supports' denominators
+    theta: tuple  # the rows of theta_matrix
+
+    def placed(self, kind: int, row) -> list:
+        """Kernel points, over den * up, of prototile `kind`'s support
+        moved by the offset row / den."""
+        shift = [c * self.up for c in row]
+        return [tuple(map(add, v, shift)) for v in self.shapes[kind]]
+
+
+def rule_form(field: NumberField, d: int, order, rules, supports) -> RuleForm:
+    """The RuleForm of rules {tid: [PlacedTile]} over prototile ids
+    `order`, whose supports are given in that order as the QThetaVecs of
+    their kernel points (an interval's two ends, a polygon's vertices)."""
     index = {tid: i for i, tid in enumerate(order)}
     children = [ch for tid in order for ch in rules[tid]]
-    rows, den = embed_rows([ch.offset for ch in children])
-    spans, first = [], 0
-    for tid in order:
-        spans.append(range(first, first + len(rules[tid])))
-        first += len(rules[tid])
-    return [index[ch.proto] for ch in children], rows, den, spans
+    offsets, den = embed_rows([ch.offset for ch in children])
+    points, point_den = embed_rows([v for vs in supports for v in vs])
+    up = lcm(den, point_den) // den
+    scale, rows = den * up // point_den, iter(points)
+    first = list(accumulate((len(rules[tid]) for tid in order), initial=0))
+    return RuleForm(
+        kinds=tuple(index[ch.proto] for ch in children),
+        offsets=tuple(offsets),
+        den=den,
+        spans=tuple(map(range, first, first[1:])),
+        shapes=tuple(tuple(tuple(c * scale for c in next(rows)) for _ in vs) for vs in supports),
+        up=up,
+        theta=tuple(map(tuple, theta_rows(field, d))),
+    )
 
 
-def lattice_form(field: NumberField, d: int, order, rules) -> LatticeForm:
-    """The LatticeForm of rules {tid: [PlacedTile]} over prototile ids
-    `order`, with read-only arrays."""
-    kinds, rows, den, spans = rule_rows(order, rules)
-    offsets = int_array(rows, d * field.degree)
-    theta = theta_matrix(field, d)
+def lattice_form(rules: RuleForm, order) -> LatticeForm:
+    """The LatticeForm, with read-only arrays, of the RuleForm `rules`
+    over prototile ids `order`."""
+    width = len(rules.theta)
+    offsets = int_array(rules.offsets, width)
+    theta = int_array(rules.theta, width)
     ranks = {tid: r for r, tid in enumerate(sorted(order))}
     form = LatticeForm(
-        den=den,
+        den=rules.den,
         theta=theta,
         theta_col_sum=max(1, abs_max(np.abs(theta).sum(axis=0))),
-        child_count=np.array([len(span) for span in spans], dtype=np.int64),
-        child_first=np.array([span.start for span in spans], dtype=np.int64),
-        child_types=np.array(kinds, dtype=np.int64),
+        child_count=np.array([len(span) for span in rules.spans], dtype=np.int64),
+        child_first=np.array([span.start for span in rules.spans], dtype=np.int64),
+        child_types=np.array(rules.kinds, dtype=np.int64),
         child_offsets=offsets,
         offset_max=abs_max(offsets),
         rank=np.array([ranks[tid] for tid in order], dtype=np.int64),

@@ -27,7 +27,6 @@ from .field import NumberField
 from .intlattice import (
     abs_max,
     embed,
-    embed_rows,
     fits,
     int_array,
     lattice_basis,
@@ -388,27 +387,27 @@ def _controls(system: SubstitutionSystem) -> Controls:
 
 
 def _build_controls(system: SubstitutionSystem) -> Controls:
-    field, order = system.field, system.order
+    field, order, form = system.field, system.order, system.rule_form
     m, s, d = len(order), field.degree, system.dimension
-    idx = {tid: i for i, tid in enumerate(order)}
     gamma = {tid: system.gamma(tid) for tid in order}
+    # the rule form's row of each prototile's tile-map child
+    rows = [span.start + k for span, (k, _) in zip(form.spans, gamma.values())]
     # (theta*I - P) c = d, with P the 0/1 matrix of tau, one right-hand
     # side per coordinate axis, on power-basis coordinates: theta acts on a
     # coordinate column by the transposed companion block, 1 by I_s
     P = np.zeros((m, m), dtype=np.int64)
-    for tid, (_, child) in gamma.items():
-        P[idx[tid], idx[child.proto]] = 1
+    for i, row in enumerate(rows):
+        P[i, form.kinds[row]] = 1
     lhs = np.kron(np.eye(m, dtype=np.int64), theta_matrix(field, 1).T) - np.kron(
         P, np.eye(s, dtype=np.int64)
     )
-    offsets, offset_den = embed_rows([child.offset for _, child in gamma.values()])
-    rhs = [[row[k * s + t] for row in offsets for t in range(s)] for k in range(d)]
+    rhs = [[form.offsets[row][k * s + t] for row in rows for t in range(s)] for k in range(d)]
     sol = field_solve(lhs.tolist(), rhs)
     if sol.rank < m * s:
         raise TilingError("singular matrix in exact solve")
-    # coordinate t of axis k of c_i is column k, row i*s + t, over det * offset_den
+    # coordinate t of axis k of c_i is column k, row i*s + t, over det * form.den
     coords = [[x[i * s + t] for x in sol.columns for t in range(s)] for i in range(m)]
-    points = reduce_rows(int_array(coords, d * s), sol.det * offset_den)
+    points = reduce_rows(int_array(coords, d * s), sol.det * form.den)
     cps = ControlPointSet(
         points=dict(zip(order, vectors(field, *points))),
         child_index={tid: k for tid, (k, _) in gamma.items()},

@@ -45,10 +45,6 @@ class Alpha:
     def serialize(self):
         return self.coords.serialize()
 
-    @staticmethod
-    def of(system: SubstitutionSystem, values) -> "Alpha":
-        return Alpha(system.field.vec(values))
-
 
 @dataclass
 class PeriodGroup:

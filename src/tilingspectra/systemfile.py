@@ -24,6 +24,11 @@ from .tiles import Interval, PlacedTile, Prototile, SubstitutionSystem, validate
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 _DECIMAL_RE = re.compile(r"^-?\d+(\.\d+)?$")
 
+# bounds on the minimal polynomial, so that `make_algebraic` (irreducibility
+# certificate, square-free test, root isolation) stays within a second
+MAX_DEGREE = 24
+MAX_COEFFICIENT_BITS = 64  # every |coefficient| is below 2^64
+
 
 def parse_system(path) -> SubstitutionSystem:
     """Load, parse and validate a system file; raises with diagnostics."""
@@ -40,7 +45,7 @@ def read_system(path) -> SubstitutionSystem:
     except OSError as exc:
         raise SystemFileError(f"cannot read {path}: {exc.strerror or exc}") from None
     try:
-        data = json.loads(raw)
+        data = json.loads(raw, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise SystemFileError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -61,19 +66,30 @@ def system_from_dict(data) -> SubstitutionSystem:
 
     theta_obj = _expect(data, "theta", dict)
     minpoly_raw = _expect(theta_obj, "minpoly", list, "theta.minpoly")
-    if not all(_is_int(c) for c in minpoly_raw):
+    if not all(_is_int(c) or isinstance(c, _LongInt) for c in minpoly_raw):
         raise SystemFileError("coefficients must be integers", "theta.minpoly")
+    if not all(_is_int(c) and abs(c).bit_length() <= MAX_COEFFICIENT_BITS for c in minpoly_raw):
+        raise SystemFileError(
+            f"coefficients must be below 2^{MAX_COEFFICIENT_BITS} in absolute value",
+            "theta.minpoly",
+        )
     try:
         minpoly = IntPoly(minpoly_raw)
     except TilingError as exc:
         raise SystemFileError(str(exc), "theta.minpoly") from None
     if not minpoly.is_monic():
         raise SystemFileError("minimal polynomial must be monic", "theta.minpoly")
+    if minpoly.degree > MAX_DEGREE:
+        raise SystemFileError(f"degree must be at most {MAX_DEGREE}", "theta.minpoly")
     approx_raw = _expect(theta_obj, "approx", str, "theta.approx")
     if not _DECIMAL_RE.match(approx_raw):
         raise SystemFileError("approx must be a decimal string", "theta.approx")
     try:
-        theta = make_algebraic(minpoly, Fraction(approx_raw))
+        approx = Fraction(approx_raw)
+    except ValueError:  # more digits than int() reads from text
+        raise SystemFileError("too many digits", "theta.approx") from None
+    try:
+        theta = make_algebraic(minpoly, approx)
     except TilingError as exc:
         raise SystemFileError(str(exc), "theta") from None
     field = NumberField(theta)
@@ -234,6 +250,22 @@ def _expect(obj, key, typ, path=None):
     return val
 
 
+class _LongInt:
+    """A JSON integer of more digits than int() reads from text (see
+    sys.get_int_max_str_digits), which no field takes."""
+
+    def __repr__(self):
+        return "<integer of too many digits>"
+
+
+def _json_int(text: str):
+    """The JSON decoder's parse_int: the int, or a _LongInt."""
+    try:
+        return int(text)
+    except ValueError:
+        return _LongInt()
+
+
 def _is_int(val) -> bool:
     """A JSON integer: Python reads true/false as the ints 1/0."""
     return isinstance(val, int) and not isinstance(val, bool)
@@ -255,7 +287,10 @@ def _parse_qtheta(raw, field: NumberField, path: str):
                 f"coordinate must be a 'p/q' string, got {item!r}", f"{path}[{k}]"
             )
         num, _, den = item.partition("/")
-        p, q = int(num), int(den or 1)
+        try:
+            p, q = int(num), int(den or 1)
+        except ValueError:  # more digits than int() reads from text
+            raise SystemFileError("too many digits", f"{path}[{k}]") from None
         if q == 0 or gcd(p, q) != 1:  # parse_rational rejects it, or it is 0/q
             try:
                 f = parse_rational(item)

@@ -35,13 +35,13 @@ from .intlattice import (
     embed_rows,
     int_array,
     lattice_form,
-    rule_rows,
+    rule_form,
     substitute,
     theta_rows,
     vectors,
 )
 from .lattice import _matmul, int_matrix_power
-from .ordering import sorted_by_value, value_order
+from .ordering import value_order
 
 DEFAULT_GROW_BUDGET = 400_000
 
@@ -93,18 +93,14 @@ class PlacedTile:
         return f"PlacedTile({self.proto!r}, {self.offset.floats()})"
 
 
-def sort_tiles(tiles):
-    """Canonical order: (prototile id, exact coordinate comparison)."""
-    return sorted_by_value(tiles, lambda t: t.offset, pre_key=lambda t: t.proto)
-
-
 class Patch:
-    """Finite tile set in canonical order."""
+    """Finite tile set, given in canonical order: by prototile id, then by
+    exact offset value (`ordering.value_order`)."""
 
     __slots__ = ("tiles",)
 
-    def __init__(self, tiles, presorted: bool = False):
-        self.tiles = tuple(tiles if presorted else sort_tiles(tiles))
+    def __init__(self, tiles):
+        self.tiles = tuple(tiles)
 
     def __len__(self):
         return len(self.tiles)
@@ -163,9 +159,17 @@ class SubstitutionSystem:
             if not (0 <= idx < len(self.rules[tid])):
                 raise TilingError(f"control_child index {idx} out of range for {tid!r}")
         self.declared_periods = list(declared_periods)
+        # the rules in plain ints, an immutable value that validation, legal
+        # pairs, volumes, the lattice form and the tile map all read; a
+        # support's kernel points are an interval's ends or a polygon's vertices
+        supports = [self.prototiles[tid].support for tid in self.order]
+        self.rule_form = rule_form(
+            field, self.dimension, self.order, self.rules,
+            [[self.zero_vec(), field.vec([sup.length])] if self.dimension == 1
+             else sup.vertices for sup in supports],
+        )
         # lazily filled caches: each is a value computed from the immutable
         # rules, so a racing recomputation stores an equal result
-        self._matrix = None
         self._lattice = None  # lattice_form, an immutable LatticeForm
         self._pisot_cert = None  # spectra.system_pisot
         self._controls = None  # returns._controls, an immutable Controls
@@ -191,15 +195,13 @@ class SubstitutionSystem:
     # -- substitution matrix ----------------------------------------------
 
     def substitution_matrix(self):
-        if self._matrix is None:
-            idx = {tid: i for i, tid in enumerate(self.order)}
-            m = len(self.order)
-            mat = [[0] * m for _ in range(m)]
-            for j, tid in enumerate(self.order):
-                for ch in self.rules[tid]:
-                    mat[idx[ch.proto]][j] += 1
-            self._matrix = mat
-        return [row[:] for row in self._matrix]
+        """Entry [i][j]: the number of children of type i in rule j."""
+        form = self.rule_form
+        mat = [[0] * len(form.spans) for _ in form.spans]
+        for j, span in enumerate(form.spans):
+            for i in span:
+                mat[form.kinds[i]][j] += 1
+        return mat
 
     # -- growth ------------------------------------------------------------
 
@@ -207,9 +209,7 @@ class SubstitutionSystem:
         """The rules in integer form (see `intlattice`), built once."""
         form = self._lattice
         if form is None:
-            form = self._lattice = lattice_form(
-                self.field, self.dimension, self.order, self.rules
-            )
+            form = self._lattice = lattice_form(self.rule_form, self.order)
         return form
 
     def grow(self, tid: str, n: int) -> Patch:
@@ -257,7 +257,7 @@ class SubstitutionSystem:
         offsets = vectors(self.field, coords[perm], den)
         names = np.array(self.order, dtype=object)[types[perm]].tolist()
         tiles = unchecked(PlacedTile, len(offsets), proto=names, offset=offsets)
-        return Patch(tiles, presorted=True)
+        return Patch(tiles)
 
     # -- supports -----------------------------------------------------------
 
@@ -328,13 +328,10 @@ def validate(system: SubstitutionSystem) -> ValidationReport:
         return rep
     rep.add("expansion", True, "theta > 1")
 
-    kinds, offsets, rden, rules = rule_rows(system.order, system.rules)
-    shapes, den = _shapes(system, rden)
-    vols, grown, vden = _volumes(system, shapes, den)
-    theta = theta_rows(system.field, system.dimension)
-    up = den // rden
-    offsets = [tuple(c * up for c in row) for row in offsets]
-    for j, (tid, rows) in enumerate(zip(system.order, rules)):
+    form = system.rule_form
+    kinds = form.kinds
+    vols, grown, vden = _volumes(system)
+    for j, (tid, rows) in enumerate(zip(system.order, form.spans)):
         children = system.rules[tid]
         if not children:
             rep.add(f"rule[{tid}].nonempty", False, "empty rule patch")
@@ -348,14 +345,11 @@ def validate(system: SubstitutionSystem) -> ValidationReport:
             f"children measure {QThetaElem(system.field, total, vden).serialize()} != "
             f"theta^d*vol {QThetaElem(system.field, grown[j], vden).serialize()}",
         )
-        kids = [
-            (ch, [tuple(map(add, v, offsets[i])) for v in shapes[kinds[i]]])
-            for ch, i in zip(children, rows)
-        ]
-        _validate_rule(system, rep, tid, kids, [_rowmul(v, theta) for v in shapes[j]])
+        kids = [(ch, form.placed(kinds[i], form.offsets[i])) for ch, i in zip(children, rows)]
+        _validate_rule(system, rep, tid, kids, [_rowmul(v, form.theta) for v in form.shapes[j]])
 
     if system.declared_periods:
-        _validate_periods(system, rep, shapes, den)
+        _validate_periods(system, rep)
 
     seeds = [tid for tid in system.order
              if any(ch.proto == tid and ch.offset.is_zero() for ch in system.rules[tid])]
@@ -421,11 +415,12 @@ def _chain(field, segs, region):
     return True, ""
 
 
-def _volumes(system, shapes, den):
+def _volumes(system):
     """(vols, grown, vden): per prototile its measure (the length in 1d,
     the doubled area in 2d) and theta^d times it, as power-basis
-    coordinates over vden, from the kernel points over den."""
-    field = system.field
+    coordinates over vden, from the kernel points of the rule form."""
+    field, form = system.field, system.rule_form
+    shapes, den = form.shapes, form.den * form.up
     if system.dimension == 1:
         vols, vden = [tuple(map(sub, b, a)) for a, b in shapes], den
     else:
@@ -442,20 +437,20 @@ def _rowmul(row, mat):
     return tuple(sum(x * c for x, c in zip(row, col)) for col in zip(*mat))
 
 
-def _validate_periods(system, rep, shapes, den):
+def _validate_periods(system, rep):
     depth = 3  # every period is checked inside omega^depth of each prototile
     for g in system.declared_periods:
         if g.is_zero():
             rep.add("periods", False, "zero vector declared as a period")
             return
-    field = system.field
+    field, form = system.field, system.rule_form
+    shapes, den = form.shapes, form.den * form.up
     width = system.dimension * field.degree
-    theta = theta_rows(field, system.dimension)
     grown = {}  # tid -> grow_lattice(tid, depth), grown when first checked
     regions = []  # theta^depth * support, over den
     for region in shapes:
         for _ in range(depth):
-            region = [_rowmul(v, theta) for v in region]
+            region = [_rowmul(v, form.theta) for v in region]
         regions.append(region)
     for g in system.declared_periods:
         ok = True
@@ -505,24 +500,6 @@ def _validate_periods(system, rep, shapes, den):
         rep.add(f"period[{g.serialize()}]", ok, detail or f"{matched} tiles matched")
 
 
-def _shapes(system, den):
-    """(shapes, den'): the prototile supports as kernel points over one
-    denominator den', a multiple of den, in system.order."""
-    den, shapes = _common(
-        *(_support_ints(system, tid) for tid in system.order), ([], den)
-    )
-    return shapes[:-1], den
-
-
-def _support_ints(system, tid):
-    """(rows, den): the support of `tid` as kernel points, the polygon's
-    vertices or the interval's two endpoints."""
-    sup = system.prototiles[tid].support
-    if system.dimension == 1:
-        return embed_rows([system.zero_vec(), system.field.vec([sup.length])])
-    return sup.ints()
-
-
 def _inside(system, region, tile) -> bool:
     """Is the tile support inside the region (both as kernel points)?"""
     if system.dimension == 1:
@@ -556,7 +533,7 @@ def perron_check(system: SubstitutionSystem):
     """Exact left-eigenvector identity of the volume vector, plus a
     floating Perron eigenvalue for cross-reading."""
     mat = system.substitution_matrix()
-    vols, grown, _ = _volumes(system, *_shapes(system, 1))
+    vols, grown, _ = _volumes(system)
     for j, tid in enumerate(system.order):
         acc = tuple(
             sum(mat[i][j] * v[k] for i, v in enumerate(vols)) for k in range(len(grown[j]))
@@ -597,7 +574,7 @@ def tile_frequencies(mat):
 
 def legal_pairs(system: SubstitutionSystem) -> frozenset:
     """Every legal pair (a, b, diff): tiles of types a and b whose closed
-    supports meet, at offsets x and x + diff / lattice_form().den, in some
+    supports meet, at offsets x and x + diff / rule_form.den, in some
     omega^n(t); diff is a tuple of ints.
 
     The seeds are the touching pairs of children in every rule.  A round
@@ -610,11 +587,8 @@ def legal_pairs(system: SubstitutionSystem) -> frozenset:
     DEFAULT_GROW_BUDGET pairs raise BudgetError.
     """
     r = _ring(system.field)
-    kinds, offsets, rden, rules = rule_rows(system.order, system.rules)
-    # a key's diff is over rden, lattice_form().den, so diff times up is its shift
-    shapes, den = _shapes(system, rden)
-    up = den // rden
-    theta = theta_rows(system.field, system.dimension)
+    form = system.rule_form
+    kinds, offsets, theta = form.kinds, form.offsets, form.theta
     zero = (0,) * len(theta)
     # the pair (t, t, 0) of a tile with itself substitutes to the seeds
     frontier = [(t, t, zero) for t in range(len(system.order))]
@@ -624,16 +598,14 @@ def legal_pairs(system: SubstitutionSystem) -> frozenset:
         new = []
         for a, b, diff in frontier:
             base = _rowmul(diff, theta)
-            for i in rules[a]:
-                for j in rules[b]:
+            for i in form.spans[a]:
+                for j in form.spans[b]:
                     d = tuple(x + y - z for x, y, z in zip(base, offsets[j], offsets[i]))
                     key = (kinds[i], kinds[j], d)
                     if key in seen:
                         continue
                     seen.add(key)
-                    shift = [x * up for x in d]
-                    moved = [tuple(map(add, v, shift)) for v in shapes[kinds[j]]]
-                    if _meet(system, r, shapes[kinds[i]], moved):
+                    if _meet(system, r, form.shapes[kinds[i]], form.placed(kinds[j], d)):
                         new.append(key)
                         if len(pairs) + len(new) > DEFAULT_GROW_BUDGET:
                             raise BudgetError(

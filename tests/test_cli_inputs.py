@@ -34,15 +34,21 @@ def load_corpus(name):
         return json.load(fh)
 
 
-def test_reducible_quartic_file_rejected(tmp_path):
-    data = load_corpus("fibonacci")
-    data["theta"] = {"minpoly": REDUCIBLE_QUARTIC, "approx": "1.618"}
-    # every coordinate gets the four power-basis entries the quartic needs
+def padded(data, minpoly, approx):
+    """The 1d system data with theta a root of minpoly, every coordinate
+    padded with zeros to the deg(minpoly) power-basis entries it needs."""
+    data["theta"] = {"minpoly": minpoly, "approx": approx}
+    zeros = ["0"] * (len(minpoly) - 2)
     for proto in data["prototiles"]:
-        proto["support"]["length"] += ["0", "0"]
+        proto["support"]["length"] += zeros
     for children in data["rules"].values():
         for child in children:
-            child["offset"][0] += ["0", "0"]
+            child["offset"][0] += zeros
+    return data
+
+
+def test_reducible_quartic_file_rejected(tmp_path):
+    data = padded(load_corpus("fibonacci"), REDUCIBLE_QUARTIC, "1.618")
     path = tmp_path / "quartic.json"
     path.write_text(json.dumps(data))
     code, out, err = run_validate(path)
@@ -288,3 +294,85 @@ def test_deeply_nested_json_is_an_error_in_a_fresh_process(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout.decode() == json.dumps({"error": message}) + "\n"
     assert proc.stderr.decode() == f"error: {message}\n"
+
+
+# more digits than int() reads from text (4,300 by default)
+LONG = "1" + "0" * 5000
+
+
+def write_with_long(tmp_path, data):
+    """The system file of data, with every string "@LONG@" written as the
+    bare JSON integer LONG, which json.dumps cannot write."""
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data).replace('"@LONG@"', LONG))
+    return path
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (lambda d: d["rules"]["a"][0].update(offset=[[LONG + "/3"]]),
+         "rules[a][0].offset[0][0]: too many digits"),
+        (lambda d: d["rules"]["a"][0].update(offset=[["1/" + LONG]]),
+         "rules[a][0].offset[0][0]: too many digits"),
+        (lambda d: d["theta"].update(approx="2." + "0" * 5000), "theta.approx: too many digits"),
+        (lambda d: d["theta"].update(minpoly=["@LONG@", 1]),
+         "theta.minpoly: coefficients must be below 2^64 in absolute value"),
+        (lambda d: d.update(dimension="@LONG@"), "dimension: expected int"),
+        (lambda d: d["rules"]["a"][0].update(offset=[["@LONG@"]]),
+         "rules[a][0].offset[0][0]: coordinate must be a 'p/q' string, got <integer of too many digits>"),
+    ],
+    ids=["numerator", "denominator", "approx", "minpoly", "dimension", "bare-coordinate"],
+)
+def test_overlong_integers_in_system_files_are_errors(tmp_path, mutate, message):
+    data = load_corpus("tm")
+    mutate(data)
+    code, out, err = run_validate(write_with_long(tmp_path, data))
+    assert code == 1
+    assert json.loads(out) == {"error": message}
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("1" + "0" * 4400, "alpha[0][0]: too many digits"),
+        (f'"1/{"0" * 4400}1"', "alpha[0][0]: too many digits"),
+        (f'[["1{"0" * 4400}", "0"]]', "alpha[0][0]: too many digits"),
+        (f'["1/3", 1{"0" * 4400}]', "alpha[0][1]: too many digits"),
+    ],
+    ids=["bare", "rational", "coordinate", "list-entry"],
+)
+def test_overlong_integers_in_vector_arguments_are_errors(text, message):
+    code, out, err = run_vector_command(SHORT_FORM_SYSTEMS["fibonacci"], "eigen check", "--alpha", text)
+    assert code == 1
+    assert json.loads(out) == {"error": message}
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "minpoly,approx,message",
+    [
+        # just past each bound: degree 25, and a coefficient of 2^64
+        ([-1, -1] + [0] * 23 + [1], "1", "theta.minpoly: degree must be at most 24"),
+        ([-(2**64), 1], "18446744073709551616",
+         "theta.minpoly: coefficients must be below 2^64 in absolute value"),
+        ([2**64, 0, 1], "0", "theta.minpoly: coefficients must be below 2^64 in absolute value"),
+        # at the bounds the polynomial reaches make_algebraic
+        ([-1, -1] + [0] * 22 + [1], "1.03", None),
+        ([-(2**64 - 1), 1], "18446744073709551615", None),
+    ],
+    ids=["degree-25", "constant-2^64", "constant+2^64", "degree-24", "constant-2^64+1"],
+)
+def test_minimal_polynomial_bounds(tmp_path, minpoly, approx, message):
+    """A larger degree or coefficient is refused before make_algebraic,
+    whose certificate and root isolation grow with both."""
+    path = tmp_path / "bounds.json"
+    path.write_text(json.dumps(padded(load_corpus("fibonacci"), minpoly, approx)))
+    code, out, err = run_validate(path)
+    assert "Traceback" not in err
+    if message is None:
+        assert "theta.minpoly" not in out
+    else:
+        assert code == 1
+        assert json.loads(out) == {"error": message}

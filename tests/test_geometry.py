@@ -47,11 +47,11 @@ def ell(K):
 
 def kernel(*polys):
     """The polygons' vertices as kernel points over one denominator."""
-    return _common(*(p.ints() for p in polys))[1]
+    return _common(*(embed_rows(p.vertices) for p in polys))[1]
 
 
 def locate(poly, p):
-    vs, (p,) = _common(poly.ints(), embed_rows([p]))[1]
+    vs, (p,) = _common(embed_rows(poly.vertices), embed_rows([p]))[1]
     return _locate(_ring(poly.vertices[0].field), p, vs)
 
 
@@ -64,8 +64,8 @@ def contains(outer, inner):
 
 
 def test_area_and_orientation(K):
-    assert area2(K, square(K, 0, 0).ints()[0]) == (2,)
-    assert area2(K, ell(K).ints()[0]) == (6,)
+    assert area2(K, embed_rows(square(K, 0, 0).vertices)[0]) == (2,)
+    assert area2(K, embed_rows(ell(K).vertices)[0]) == (6,)
     with pytest.raises(TilingError):
         Polygon(list(reversed(square(K, 0, 0).vertices)))  # clockwise
 
@@ -131,6 +131,6 @@ def test_exact_coordinates_in_golden_field():
     K = golden_field()
     t = K.gen()
     tri = Polygon([K.vec([0, 0]), K.vec([t, 0]), K.vec([0, t])])
-    vs, den = tri.ints()
+    vs, den = embed_rows(tri.vertices)
     assert K.elem(area2(K, vs)) / (den * den) == t * t
     assert locate(tri, K.vec([Fraction(1, 4), Fraction(1, 4)])) == INSIDE

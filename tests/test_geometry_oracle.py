@@ -267,11 +267,15 @@ FIELDS = pytest.mark.parametrize("field", [RATIONAL, GOLDEN], ids=["Q", "Q(golde
 
 
 def overlap(p, q):
-    return interiors_overlap(p.vertices[0].field, *_common(p.ints(), q.ints())[1])
+    return interiors_overlap(
+        p.vertices[0].field, *_common(embed_rows(p.vertices), embed_rows(q.vertices))[1]
+    )
 
 
 def contains(outer, inner):
-    return polygon_contains(outer.vertices[0].field, *_common(outer.ints(), inner.ints())[1])
+    return polygon_contains(
+        outer.vertices[0].field, *_common(embed_rows(outer.vertices), embed_rows(inner.vertices))[1]
+    )
 
 
 @FIELDS
@@ -296,7 +300,7 @@ def test_point_and_segment_predicates_match_reference(field):
     @given(polygons(field), points(field), points(field), points(field), points(field))
     def check(poly, p, a, b, c):
         r = _ring(field)
-        den, (vs, (kp, ka, kb, kc)) = _common(poly.ints(), embed_rows([p, a, b, c]))
+        den, (vs, (kp, ka, kb, kc)) = _common(embed_rows(poly.vertices), embed_rows([p, a, b, c]))
         assert field.elem(area2(field, vs)) / (den * den) == ref_area2(poly.vertices)
         assert _locate(r, kp, vs) == ref_locate(p, poly.vertices)
         assert _on_segment(r, kp, ka, kb) == ref_on_segment(p, a, b)

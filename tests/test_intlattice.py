@@ -20,7 +20,8 @@ from tilingspectra import (
     intlattice,
     make_algebraic,
 )
-from tilingspectra import returns
+from tilingspectra import geometry, returns, tiles
+from tilingspectra.corpus import corpus_path
 from tilingspectra.lattice import hnf
 from tilingspectra.ordering import _FEW, value_order
 from tilingspectra.returns import (
@@ -59,7 +60,7 @@ def reference_substitute(system, tiles):
 
 def reference_patch(tiles):
     """Canonical order by exact comparisons only."""
-    return Patch(sorted(tiles, key=lambda t: (t.proto, exact_key(t.offset))), presorted=True)
+    return Patch(sorted(tiles, key=lambda t: (t.proto, exact_key(t.offset))))
 
 
 def reference_grow(system, tid, n):
@@ -98,7 +99,7 @@ def test_substitute_translated_patch_with_new_denominator(all_systems):
         shift = K.vec([K.elem([Fraction(1, 3)] + [Fraction(-2, 7)] * (K.degree - 1))] * system.dimension)
         for tid in system.order:
             # translation keeps the canonical order
-            patch = Patch([PlacedTile(t.proto, t.offset + shift) for t in system.grow(tid, 2)], presorted=True)
+            patch = Patch([PlacedTile(t.proto, t.offset + shift) for t in system.grow(tid, 2)])
             expected = reference_patch(reference_substitute(system, patch.tiles))
             assert_same_patch(substitute_patch(system, patch), expected, (name, tid))
     assert len(substitute_patch(system, Patch([]))) == 0
@@ -188,6 +189,47 @@ def test_lattice_form_is_read_only_and_shared_by_threads(chair):
     assert len(arrays) == 6 and not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         form.child_offsets[0, 0] = 1
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "np26", "chair"])
+def test_parsing_embeds_the_rule_offsets_once(monkeypatch, name):
+    """The system builds its rule form when it is parsed; legal pairs, the
+    volume check, the lattice form and the control points all read that
+    form, so the rule offsets go through embed_rows exactly once."""
+    calls = []
+    real = intlattice.embed_rows
+
+    def spy(vecs):
+        calls.append(list(vecs))
+        return real(vecs)
+
+    for module in (intlattice, tiles, geometry, returns):
+        if hasattr(module, "embed_rows"):
+            monkeypatch.setattr(module, "embed_rows", spy)
+    system = parse_system(corpus_path(name))
+    tiles.legal_pairs(system)
+    tiles.perron_check(system)
+    system.lattice_form()
+    control_points(system)
+    offsets = [ch.offset for tid in system.order for ch in system.rules[tid]]
+    assert sum(any(v is o for v in vecs for o in offsets) for vecs in calls) == 1
+
+
+def test_rule_form_is_made_of_tuples(all_systems):
+    """No field of the rule form can be changed in place, and its
+    denominator is the lattice form's."""
+
+    def frozen(value):
+        return isinstance(value, int) or (
+            isinstance(value, (tuple, range)) and all(frozen(v) for v in value)
+        )
+
+    for name, system in all_systems.items():
+        form = system.rule_form
+        assert isinstance(form, tuple) and all(frozen(v) for v in form), name
+        assert form.den == system.lattice_form().den, name
+        with pytest.raises(AttributeError):
+            form.den = 1
 
 
 CUBIC = NumberField(make_algebraic(IntPoly((-1, -1, 0, 1)), Fraction(133, 100)))

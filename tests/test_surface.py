@@ -1,6 +1,6 @@
 """Every function, class and method in the package has a caller outside
 the tests: in the package itself, the tools, the demos, the benchmark
-or the README.  A member only tests use belongs in the tests."""
+or the README's code.  A member only tests use belongs in the tests."""
 
 import ast
 import re
@@ -70,13 +70,6 @@ class References(ast.NodeVisitor):
     def visit_alias(self, node):
         self._add(node.name.rsplit(".", 1)[-1])
 
-    def visit_Constant(self, node):
-        # names given as strings, such as the benchmark tracer's
-        # "SubstitutionSystem.grow"
-        if isinstance(node.value, str):
-            for ident in re.findall(r"[A-Za-z_]\w*", node.value):
-                self._add(ident)
-
 
 def traced_names():
     """The attributes perfbench/tracer.py wraps, by their last part."""
@@ -91,6 +84,14 @@ def traced_names():
     return names
 
 
+def readme_code_names():
+    """Identifiers inside the README's fenced blocks and code spans: a
+    word of its prose is no caller."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.findall(r"```.*?```|`[^`\n]+`", text, flags=re.S)
+    return set(re.findall(r"[A-Za-z_]\w*", "\n".join(code)))
+
+
 def test_tracer_tables_are_read():
     assert {"cli_dispatch", "grow", "kenyon_basis", "__mul__"} <= traced_names()
 
@@ -102,7 +103,7 @@ def test_every_member_has_a_caller_outside_the_tests():
     refs = References()
     for path in callers:
         refs.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-    readme = set(re.findall(r"[A-Za-z_]\w*", (ROOT / "README.md").read_text(encoding="utf-8")))
+    readme = readme_code_names()
     allowed = set(tilingspectra.__all__) | ARGPARSE_OVERRIDES | traced_names()
     unused = []
     for path in sources:

@@ -24,7 +24,6 @@ from tilingspectra import tiles
 from tilingspectra.systemfile import parse_system
 from tilingspectra.tiles import (
     _chain,
-    _support_ints,
     is_primitive,
     legal_pairs,
     perron_check,
@@ -347,11 +346,10 @@ def touching_pairs(system, depth):
     for tid in system.order:
         types, coords, den = system.grow_lattice(tid, depth)
         types, coords = types.tolist(), coords.tolist()
-        shapes = []
-        for k in system.order:
-            rows, sden = _support_ints(system, k)
-            assert den % sden == 0
-            shapes.append([[c * (den // sden) for c in row] for row in rows])
+        form = system.rule_form
+        sden = form.den * form.up
+        assert den % sden == 0
+        shapes = [[[c * (den // sden) for c in row] for row in rows] for rows in form.shapes]
         tiles = [
             [tuple(map(add, v, x)) for v in shapes[k]] for k, x in zip(types, coords)
         ]

@@ -55,6 +55,9 @@ BROKEN = {
     "tm-past-end": ("tm", lambda s: s["rules"]["a"][1].update(offset=[["2"]])),
     "tm-late-start": ("tm", lambda s: s["rules"]["a"][0].update(offset=[["1/2"]])),
     "fibonacci-gap": ("fibonacci", lambda s: s["rules"]["a"][1].update(offset=[["1/2", "1"]])),
+    # more digits than int() reads from text (4,300 by default)
+    "tm-long-offset": ("tm", lambda s: s["rules"]["a"][1].update(offset=[["1" + "0" * 5000 + "/3"]])),
+    "fibonacci-long-approx": ("fibonacci", lambda s: s["theta"].update(approx="1." + "6" * 5000)),
 }
 
 
