@@ -19,8 +19,9 @@ integer arithmetic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .algebraic import AlgebraicReal
@@ -164,7 +165,13 @@ class PisotCertificate:
     inside: int
     on_circle: int
     outside: int
-    conjugate_moduli: tuple  # floats, approximate view only
+    theta: AlgebraicReal = field(repr=False, compare=False)
+
+    @cached_property
+    def conjugate_moduli(self) -> tuple:
+        """Floats, approximate view only, computed when first read: only
+        the `pisot` output and the convergence reference rate show them."""
+        return _conjugate_moduli(self.theta)
 
     def as_dict(self):
         return {
@@ -203,7 +210,7 @@ def is_pisot(theta: AlgebraicReal) -> PisotCertificate:
         inside=inside,
         on_circle=on,
         outside=outside,
-        conjugate_moduli=_conjugate_moduli(theta),
+        theta=theta,
     )
 
 

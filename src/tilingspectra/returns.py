@@ -4,12 +4,17 @@ integer-coefficient basis certifying Z[theta]-coordinates.
 The translation vectors between same-type tiles generate a free abelian
 group; embedding their power-basis coordinates into Q^(d*s), clearing
 denominators and taking a Hermite normal form gives a canonical basis V.
-Multiplication by theta maps the group into itself on a stabilized
-sample, producing an integer matrix M with theta*V = V*M, whose
-characteristic polynomial must vanish at theta.  Control points fixed by
-the tile-map choice solve an exact linear system, and their differences
-seed a basis {b_j} in which every sampled return vector has integer
-polynomial coordinates in theta.
+The sample grows every prototile as one patch, one substitution step per
+depth, and takes one generator per tile: its difference to the first
+tile of its type in the same patch, which generates the same group as
+all same-type differences.  Multiplication by theta maps the group into
+itself on a stabilized sample, producing an integer matrix M with
+theta*V = V*M, whose characteristic polynomial must vanish at theta.
+Control points fixed by the tile-map choice solve an exact linear
+system, and their differences seed a basis {b_j} in which every vector
+of the sampled group has integer polynomial coordinates in theta, by
+construction; `kenyon_basis` also checks it on the returns enumerated at
+a depth.
 """
 
 from __future__ import annotations
@@ -82,15 +87,13 @@ def enumerate_returns(system: SubstitutionSystem, depth: int) -> ReturnSample:
 def _return_rows(system: SubstitutionSystem, depth: int):
     """(rows, den): the returns of `enumerate_returns` in integer form
     (see `intlattice`), in lexicographic order of the rows."""
-    if depth < 0:
-        raise TilingError("depth must be nonnegative")
-    return _patch_returns(system, (system.grow_lattice(tid, depth) for tid in system.order))
+    (grown,) = system.grow_lattices(system.order, [depth])
+    return _patch_returns(system, grown)
 
 
-def _patch_returns(system: SubstitutionSystem, patches):
+def _patch_returns(system: SubstitutionSystem, grown):
     """(rows, den): the nonzero differences of same-type tiles within each
-    of the patches (types, coords, den, ...), all over the form's den, as
-    `grow_lattice` and `step_lattice` keep it.  More than
+    block of the `tiles.JointPatch` grown, over its den.  More than
     DEFAULT_PAIR_BUDGET pairs raise BudgetError.
 
     Every difference is packed into one integer key (see
@@ -98,22 +101,12 @@ def _patch_returns(system: SubstitutionSystem, patches):
     extent of each column over all type groups, so the keys of every
     group, from either difference path, are deduplicated together and
     unpacked once."""
-    width = system.field.degree * system.dimension
-    den = system.lattice_form().den
-    groups = []
-    pair_count = 0
-    for types, coords, *_ in patches:
-        for p in range(len(system.order)):
-            offsets = coords[types == p]
-            n = len(offsets)
-            if n < 2:
-                continue
-            pair_count += n * (n - 1)
-            if pair_count > DEFAULT_PAIR_BUDGET:
-                raise BudgetError(f"return enumeration exceeds pair budget {DEFAULT_PAIR_BUDGET}")
-            groups.append(offsets)
+    den = grown.den
+    groups = _type_groups(system, grown)
+    if sum(len(g) * (len(g) - 1) for g in groups) > DEFAULT_PAIR_BUDGET:
+        raise BudgetError(f"return enumeration exceeds pair budget {DEFAULT_PAIR_BUDGET}")
     if not groups:
-        return np.zeros((0, width), dtype=np.int64), den
+        return np.zeros((0, system.field.degree * system.dimension), dtype=np.int64), den
     extents = [(g.max(axis=0) - g.min(axis=0)).tolist() for g in groups]
     ext = [max(col) for col in zip(*extents)]
     lo = [-e for e in ext]
@@ -207,9 +200,6 @@ class ReturnModule:
     stabilized: bool
     dimension: int
     M: object = dc_field(default=None)
-    # the number of returns sampled at sample_depth, whose rows the
-    # generators are the Hermite basis of; set by `stabilized_module` only
-    sample_size: int = dc_field(default=None, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -285,32 +275,58 @@ def stabilized_module(
 ) -> ReturnModule:
     """Deepen the sample until consecutive depths generate the same group.
 
-    Every prototile is grown once, at the first depth; each further depth
-    is one substitution step of the patches of the depth before.  Depths
-    are compared on their (denominator, HNF rows), and only the module
-    returned gets its generator vectors.  It records how many returns
-    its last sample held, which `kenyon_basis` at its depth reports."""
-    patches, last, stabilized = None, None, False
-    for depth in range(start_depth, max_depth + 1):
-        if patches is None:
-            patches = [system.grow_lattice(tid, depth) for tid in system.order]
-        else:
-            patches = [system.step_lattice(*patch) for patch in patches]
-        rows, den = _patch_returns(system, patches)
+    All prototiles grow as one patch, one substitution step per depth.
+    Each depth's group is generated by every tile minus the first tile of
+    its type in the same patch (`_first_differences`), which generate
+    the group of all same-type differences.  Depths are compared on
+    their (denominator, HNF rows), and only the module returned gets its
+    generator vectors."""
+    last, stabilized = None, False
+    depths = range(start_depth, max_depth + 1)
+    for depth, grown in zip(depths, system.grow_lattices(system.order, depths)):
+        rows = _first_differences(system, grown)
         if not len(rows):
             continue
-        key = _basis_of(rows, den)
+        key = _basis_of(rows, grown.den)
         stabilized = last is not None and key == last[0]
-        last = key, depth, rows.shape
+        last = key, depth
         if stabilized:
             break
     if last is None:
         raise TilingError("no return vectors found up to the maximum depth")
-    key, depth, (size, width) = last
+    key, depth = last
+    width = system.field.degree * system.dimension
     module = _module_of(system.field, key, width, depth, system.dimension)
     module.stabilized = stabilized
-    module.sample_size = size
     return module
+
+
+def _first_differences(system: SubstitutionSystem, grown) -> np.ndarray:
+    """Integer rows, over grown.den, of each tile of the `tiles.JointPatch`
+    grown minus the first tile of its type in the same block, for every
+    tile but that first one.
+
+    They generate the same group as all differences x - y of same-type
+    tiles of a block: each is one of them, and x - y = (x - f) - (y - f)
+    with f the first tile of that type.  So the reduced denominator and
+    the HNF rows of `_basis_of` are the same for both.  Entries of an
+    int64 patch are below INT64_LIMIT = 2^62, so a difference fits too."""
+    parts = [offsets[1:] - offsets[0] for offsets in _type_groups(system, grown)]
+    if not parts:
+        return np.zeros((0, system.field.degree * system.dimension), dtype=np.int64)
+    return np.concatenate(parts)
+
+
+def _type_groups(system: SubstitutionSystem, grown) -> list:
+    """The offset rows of the tiles of one type in one block of the
+    `tiles.JointPatch` grown, for each group of at least two tiles."""
+    groups = []
+    for types, coords in grown.parts():
+        for p in range(len(system.order)):
+            offsets = coords[types == p]
+            if len(offsets) > 1:
+                groups.append(offsets)
+    return groups
 
 
 def phi_action(module: ReturnModule, system: SubstitutionSystem):
@@ -441,12 +457,12 @@ def verify_control_point_dynamics(system, cps: ControlPointSet, depth: int) -> b
     omega^(depth+1), for every prototile."""
     points = embed([cps.points[tid] for tid in system.order])
     theta = system.lattice_form().theta
-    for tid in system.order:
-        # both over one denominator: grow_lattice and step_lattice keep the form's
-        patch = system.grow_lattice(tid, depth)
-        here, _ = _control_rows(points, *patch)
-        there, _ = _control_rows(points, *system.step_lattice(*patch)[:3])
-        if not rows_in(matmul(here, theta), there):
+    here, there = system.grow_lattices(system.order, (depth, depth + 1))
+    for now, then in zip(here.parts(), there.parts()):
+        # both over one denominator: a substitution step keeps the form's
+        rows, _ = _control_rows(points, *now, here.den)
+        image, _ = _control_rows(points, *then, there.den)
+        if not rows_in(matmul(rows, theta), image):
             return False
     return True
 
@@ -486,17 +502,17 @@ class KenyonBasis:
         }
 
 
-def kenyon_basis(system: SubstitutionSystem, module: ReturnModule, depth: int) -> KenyonBasis:
-    """Basis {b_j} of R^d with all sampled returns in Z[theta]-span.
+def coordinate_basis(system: SubstitutionSystem, module: ReturnModule) -> KenyonBasis:
+    """Basis {b_j} of R^d in which every vector of the module's group has
+    integer power-basis coordinates, by construction; nothing is
+    verified, so verified_count is 0.
 
     Seeds e_j are the first control-point differences (canonical patch
     order) of full rank, found once per system; the module generators'
     coordinates over the seeds are Q(theta) elements, whose rational
-    denominators are cleared into the basis b_j = e_j / D.  Every vector
-    sampled at `depth` has integer power-basis coordinates: at the depth
-    of a `stabilized_module`, by construction, and at any other depth, or
-    for a module from `group_basis`, as verified on the enumerated
-    returns.
+    denominators are cleared into the basis b_j = e_j / D.  So the
+    generators have integral coordinates, and so has every integer
+    combination of them.
     """
     field = system.field
     _, seeds, seed_map = _controls(system)
@@ -512,19 +528,21 @@ def kenyon_basis(system: SubstitutionSystem, module: ReturnModule, depth: int) -
     inv = field.rational(Fraction(1, den))
     # coordinates over e_j / den are den times those over e_j
     g = gcd(den, L)
-    kb = KenyonBasis(
+    return KenyonBasis(
         basis=[e.scale(inv) for e in seeds],
         seeds=list(seeds),
         denominator=den,
         verified_count=0,
         coordinate_map=(_times(T, den // g), L // g),
     )
-    if module.sample_size is not None and depth == module.sample_depth:
-        # the generators are the Hermite basis of exactly the rows sampled
-        # here, so each row is an integer combination of them; den makes
-        # every generator's coordinates integral, hence every row's
-        kb.verified_count = module.sample_size
-        return kb
+
+
+def kenyon_basis(system: SubstitutionSystem, module: ReturnModule, depth: int) -> KenyonBasis:
+    """The `coordinate_basis` of the module, with every return sampled at
+    `depth` checked to have integer coordinates over it; verified_count
+    is the number of returns checked."""
+    field = system.field
+    kb = coordinate_basis(system, module)
     rows, rows_den = _return_rows(system, depth)
     ok = kb.integral_rows(rows, rows_den)
     if not ok.all():
@@ -564,12 +582,11 @@ def _spanning_differences(system, points):
     (rows, den) of the prototiles' control points."""
     field, form = system.field, system.lattice_form()
     chosen = []
-    for depth in (2, 3, 4):
-        for tid in system.order:
-            types, coords, den = system.grow_lattice(tid, depth)
-            perm = value_order(field, coords, den, groups=form.rank[types])
-            # one den for every patch: grow_lattice keeps the form's
-            rows, den = _control_rows(points, types[perm], coords[perm], den)
+    for grown in system.grow_lattices(system.order, (2, 3, 4)):
+        for types, coords in grown.parts():
+            perm = value_order(field, coords, grown.den, groups=form.rank[types])
+            # one den for every patch: a substitution step keeps the form's
+            rows, den = _control_rows(points, types[perm], coords[perm], grown.den)
             for cand in rows[1:] - rows[0]:
                 if cand.any() and span_rank(field, np.array(chosen + [cand])) > len(chosen):
                     chosen.append(cand)

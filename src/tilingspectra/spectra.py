@@ -21,7 +21,7 @@ from .field import QThetaElem, QThetaVec
 from .intlattice import embed, embed_matrix, int_array, span_rank, vectors
 from .lattice import field_solve
 from .pisot import PisotCertificate, is_pisot
-from .returns import ReturnModule, kenyon_basis, stabilized_module
+from .returns import ReturnModule, coordinate_basis, stabilized_module
 from .tiles import SubstitutionSystem
 from .traces import dist_to_int, dist_to_int_limit
 
@@ -259,7 +259,7 @@ def eigenvalue_module(system: SubstitutionSystem) -> EigenvalueModule:
             reason="theta is not Pisot: weak mixing, only alpha = 0 remains",
         )
     module = system_module(system)
-    kb = kenyon_basis(system, module, depth=module.sample_depth)
+    kb = coordinate_basis(system, module)
     partial = False
     if kind == "aperiodic":
         candidates = dual_basis(kb.basis)
@@ -400,7 +400,7 @@ def convergence_diagnostic(
     dists = exact_dist_sequence(x, steps)
     values = [2.0 * math.sin(math.pi * min(float(d), 0.5)) for d in dists]
     cert = system_pisot(system)
-    reference = max(cert.conjugate_moduli) if cert.conjugate_moduli else 0.0
+    reference = max(cert.conjugate_moduli, default=0.0)
     lo = fit_start if fit_start is not None else max(2, steps // 2)
     tail = [(n, v) for n, v in enumerate(values) if n >= lo]
     if all(v == 0.0 for _, v in tail):

@@ -12,8 +12,9 @@ gap-free endpoint chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import add, sub
+from typing import NamedTuple
 
 import numpy as np
 
@@ -221,35 +222,49 @@ class SubstitutionSystem:
         unsorted: tile i has prototile self.order[types[i]] at offset
         coords[i] / den.  More than DEFAULT_GROW_BUDGET tiles raise
         BudgetError before any is built."""
-        if tid not in self.prototiles:
-            raise TilingError(f"unknown prototile {tid!r}")
-        if n < 0:
-            raise TilingError("depth must be nonnegative")
-        budget = DEFAULT_GROW_BUDGET
-        # counts capped at budget + 1: the total is exact up to the budget
-        power = int_matrix_power(self.substitution_matrix(), n, cap=budget + 1)
-        j = self.order.index(tid)
-        total = sum(row[j] for row in power)
-        if total > budget:
-            raise _over_grow_budget()
-        form = self.lattice_form()
-        types = np.array([j], dtype=np.int64)
-        coords = np.zeros((1, form.theta.shape[0]), dtype=np.int64)
-        den, bound = form.den, 0
-        for _ in range(n):
-            types, coords, den, bound = substitute(form, types, coords, den, bound)
-        assert len(types) == total
-        return types, coords, den
+        (grown,) = self.grow_lattices([tid], [n])
+        return grown.types, grown.coords, grown.den
 
-    def step_lattice(self, types, coords, den, bound=None):
-        """`intlattice.substitute` of one integer-form patch, bound and
-        all, refused as `grow_lattice` refuses more than
-        DEFAULT_GROW_BUDGET tiles: on the exact child count, before the
-        step is built."""
+    def grow_lattices(self, tids, depths):
+        """Yield, at each of the ascending `depths`, the substitutions of
+        the prototiles `tids` to that depth as one integer patch
+        (a `JointPatch`), grown by one `intlattice.substitute` per depth.
+
+        Children stay together under their parent, in rule order, so the
+        tiles grown from tids[k] stay one block, and its rows are those a
+        growth of tids[k] alone gives.  Before any step towards a depth,
+        each block's tile count there is taken from matrix powers with
+        entries capped above the budget, and a block of more than
+        DEFAULT_GROW_BUDGET tiles raises BudgetError."""
+        for tid in tids:
+            if tid not in self.prototiles:
+                raise TilingError(f"unknown prototile {tid!r}")
+        budget = DEFAULT_GROW_BUDGET
+        cap = budget + 1
         form = self.lattice_form()
-        if int(form.child_count[types].sum()) > DEFAULT_GROW_BUDGET:
-            raise _over_grow_budget()
-        return substitute(form, types, coords, den, bound)
+        mat = self.substitution_matrix()
+        # counts[i, k]: tiles of type i in block k, capped at the budget
+        # + 1, so a block's total is exact up to the budget; every product
+        # below is of entries at most cap, so it fits in int64
+        step = np.minimum(np.array(mat, dtype=np.int64), cap)
+        index = [self.order.index(tid) for tid in tids]
+        types = np.array(index, dtype=np.int64)
+        counts = (np.arange(len(mat))[:, None] == types).astype(np.int64)
+        coords = np.zeros((len(index), form.theta.shape[0]), dtype=np.int64)
+        den, bound, at = form.den, 0, 0
+        for n in depths:
+            if n < at:
+                raise TilingError("depth must be nonnegative" if n < 0 else "depths must ascend")
+            power = step if n - at == 1 else np.array(int_matrix_power(mat, n - at, cap=cap))
+            counts = np.minimum(power @ counts, cap)
+            sizes = counts.sum(axis=0)
+            if len(sizes) and sizes.max() > budget:
+                raise _over_grow_budget()
+            for _ in range(n - at):
+                types, coords, den, bound = substitute(form, types, coords, den, bound)
+            assert len(types) == sizes.sum()
+            at = n
+            yield JointPatch(types, coords, den, tuple(sizes.tolist()))
 
     def _patch_of(self, types, coords, den) -> Patch:
         """The Patch, in canonical order, of an integer-form tile set."""
@@ -269,6 +284,21 @@ class SubstitutionSystem:
     def tile_polygon(self, t: PlacedTile) -> Polygon:
         sup = self.prototiles[t.proto].support
         return sup.translated(t.offset)
+
+
+class JointPatch(NamedTuple):
+    """Several integer-form patches as one: block k is the next sizes[k]
+    tiles, tile i of prototile order[types[i]] at offset coords[i] / den."""
+
+    types: np.ndarray
+    coords: np.ndarray
+    den: int
+    sizes: tuple
+
+    def parts(self) -> list:
+        """(types, coords) of each block, as views."""
+        ends = list(accumulate(self.sizes))
+        return [(self.types[a:b], self.coords[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def _over_grow_budget() -> BudgetError:

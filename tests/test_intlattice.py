@@ -29,6 +29,7 @@ from tilingspectra.returns import (
     _autocorrelation_rows,
     _return_rows,
     control_points,
+    coordinate_basis,
     enumerate_returns,
     group_basis,
     kenyon_basis,
@@ -367,10 +368,9 @@ def test_value_order_float_inversion_within_bound():
 
 def test_kenyon_rejects_non_integer_coordinates(fib, monkeypatch):
     """Rows that are no integer combination of the generators, planted at
-    a depth other than the module's sample depth, fail verification."""
+    any depth, the module's sample depth included, fail verification."""
     module = stabilized_module(fib)
     K = fib.field
-    depth = module.sample_depth + 2
     rows, den = intlattice.embed([K.vec([Fraction(1, 3)]), K.vec([1]), K.vec([Fraction(-1, 3)])])
     planted = []
 
@@ -383,11 +383,13 @@ def test_kenyon_rejects_non_integer_coordinates(fib, monkeypatch):
         "return vector [['-1/3', '0']] has non-integer coordinates; "
         "unstabilized sample or defect"
     )
-    with pytest.raises(TilingError) as info:
-        kenyon_basis(fib, module, depth=depth)
-    assert str(info.value) == message
-    assert planted == [depth]
-    kb = kenyon_basis(fib, module, depth=module.sample_depth)
+    depths = [module.sample_depth, module.sample_depth + 2]
+    for depth in depths:
+        with pytest.raises(TilingError) as info:
+            kenyon_basis(fib, module, depth=depth)
+        assert str(info.value) == message
+    assert planted == depths
+    kb = coordinate_basis(fib, module)
     assert kb.integral_rows(rows, den).tolist() == [False, True, False]
 
 

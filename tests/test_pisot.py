@@ -197,3 +197,25 @@ def test_pisot_display_does_not_refine_theta_far(coeffs, approx):
     theta = make_algebraic(IntPoly(coeffs), Fraction(approx))
     assert is_pisot(theta).pisot
     assert theta.width() > Fraction(1, 10**6)
+
+
+def test_verdict_computes_no_conjugate_moduli(monkeypatch):
+    """The verdict reads no float roots; the moduli are computed once,
+    on first read, with the same values a fresh theta gives."""
+    from tilingspectra import pisot
+
+    calls = []
+    real = pisot._conjugate_moduli
+
+    def spy(theta):
+        calls.append(theta)
+        return real(theta)
+
+    monkeypatch.setattr(pisot, "_conjugate_moduli", spy)
+    theta = make_algebraic(IntPoly([-1, -1, -1, 1]), Fraction(18, 10))
+    cert = is_pisot(theta)
+    assert cert.pisot and calls == []
+    moduli = cert.conjugate_moduli
+    assert cert.conjugate_moduli is moduli and calls == [theta]
+    assert moduli == real(make_algebraic(IntPoly([-1, -1, -1, 1]), Fraction(18, 10)))
+    assert "conjugate_moduli" in cert.as_dict() and len(calls) == 1

@@ -13,7 +13,7 @@ import sympy
 from tilingspectra import TilingError, intlattice
 from tilingspectra import returns, tiles
 from tilingspectra.cli import cli_dispatch
-from tilingspectra.corpus import corpus_path
+from tilingspectra.corpus import NAMES, corpus_path
 from tilingspectra.errors import BudgetError
 from tilingspectra.intlattice import embed, embed_rows
 from tilingspectra.lattice import charpoly, hnf
@@ -397,7 +397,7 @@ def test_fft_and_pairwise_difference_paths_agree(grid2, chair, np26, monkeypatch
 
 
 # ---------------------------------------------------------------------------
-# stepped sampling: stabilized_module grows once and steps the patches
+# joint growth: every prototile grows as one patch, one step per depth
 
 GRID2_PLAIN = TRIBONACCI.parent / "grid2-plain.json"
 
@@ -409,25 +409,55 @@ def seven(systems):
     return {**systems, **extra}
 
 
+def reference_grow_lattice(system, tid, depth):
+    """One prototile grown alone from the root tile, one substitution per
+    depth: what grow_lattice did before prototiles grew together."""
+    form = system.lattice_form()
+    types = np.array([system.order.index(tid)], dtype=np.int64)
+    coords = np.zeros((1, form.theta.shape[0]), dtype=np.int64)
+    den = form.den
+    for _ in range(depth):
+        types, coords, den, _ = intlattice.substitute(form, types, coords, den)
+    return types, coords, den
+
+
 def assert_steps_match_growth(system, label, rows_until=6):
-    """Patches grown at depth 2 and then stepped once per depth up to 6
-    equal grow_lattice from depth 0, and up to `rows_until` give the rows
-    of _return_rows."""
-    patches = [system.grow_lattice(tid, 2) for tid in system.order]
-    for depth in range(2, 7):
-        if depth > 2:
-            patches = [system.step_lattice(*patch) for patch in patches]
-        for tid, (types, coords, den, *bound) in zip(system.order, patches):
-            grown = system.grow_lattice(tid, depth)
-            # the carried bound, which keeps a step in int64, must hold
-            assert not bound or bound[0] >= intlattice.abs_max(coords), (label, tid, depth)
-            assert np.array_equal(types, grown[0]), (label, tid, depth)
-            assert np.array_equal(coords, grown[1]), (label, tid, depth)
-            assert den == grown[2], (label, tid, depth)
+    """The blocks of the joint patch at depths 0-6 equal each prototile
+    grown alone and grow_lattice, and up to `rows_until` the returns of
+    the joint patch are the union of those of the blocks grown alone.
+    Every step's carried bound, which keeps a step in int64, holds."""
+    real = tiles.substitute
+    bounds = []
+
+    def spy(*args):
+        out = real(*args)
+        bounds.append(out[3] >= intlattice.abs_max(out[1]))
+        return out
+
+    depths = range(0, 7)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tiles, "substitute", spy)
+        grown_at = list(system.grow_lattices(system.order, depths))
+    assert len(bounds) == 6 and all(bounds), label
+    for depth, grown in zip(depths, grown_at):
+        assert len(grown.parts()) == len(system.order), (label, depth)
+        alone = []
+        for tid, (types, coords) in zip(system.order, grown.parts()):
+            expected = reference_grow_lattice(system, tid, depth)
+            alone.append(expected)
+            for got in ((types, coords, grown.den), system.grow_lattice(tid, depth)):
+                assert np.array_equal(got[0], expected[0]), (label, tid, depth)
+                assert np.array_equal(got[1], expected[1]), (label, tid, depth)
+                assert got[2] == expected[2], (label, tid, depth)
         if depth <= rows_until:
-            rows, den = returns._patch_returns(system, patches)
-            expected, expected_den = returns._return_rows(system, depth)
-            assert np.array_equal(rows, expected) and den == expected_den, (label, depth)
+            rows, den = returns._return_rows(system, depth)
+            union = set()
+            for patch in alone:
+                one = tiles.JointPatch(*patch, (len(patch[0]),))
+                union.update(map(tuple, returns._patch_returns(system, one)[0].tolist()))
+            # the rows come in lexicographic order
+            assert rows.tolist() == sorted(map(list, union)), (label, depth)
+            assert den == grown.den, (label, depth)
 
 
 def test_stepped_patches_match_growth(seven):
@@ -443,6 +473,35 @@ def test_stepped_patches_match_growth_in_python_ints(seven, monkeypatch):
         fresh = system_from_dict(serialize_system(system))
         assert fresh.grow_lattice(fresh.order[0], 2)[1].dtype == object, name
         assert_steps_match_growth(fresh, name, rows_until=4)
+
+
+def pairwise_key(system, depth):
+    """The group key of all same-type differences of each prototile's
+    patch, as stabilized_module formed them before first differences."""
+    return returns._basis_of(*returns._return_rows(system, depth))
+
+
+def test_first_differences_give_the_pairwise_group(seven, monkeypatch):
+    """At depths 2-6 the rows of each tile minus the first tile of its
+    type generate the group of all same-type differences: same reduced
+    denominator and same HNF rows, in int64 and in Python ints."""
+    for name, system in seven.items():
+        depths = range(2, 7)
+        for depth, grown in zip(depths, system.grow_lattices(system.order, depths)):
+            rows = returns._first_differences(system, grown)
+            assert len(rows) == len(grown.types) - sum(
+                len(np.unique(types)) for types, _ in grown.parts()
+            ), (name, depth)
+            key = returns._basis_of(rows, grown.den)
+            assert key == pairwise_key(system, depth), (name, depth)
+    monkeypatch.setattr(intlattice, "INT64_LIMIT", 2)
+    for name, system in seven.items():
+        fresh = system_from_dict(serialize_system(system))
+        depths = range(2, 5)
+        for depth, grown in zip(depths, fresh.grow_lattices(fresh.order, depths)):
+            rows = returns._first_differences(fresh, grown)
+            assert rows.dtype == object, name
+            assert returns._basis_of(rows, grown.den) == pairwise_key(fresh, depth), (name, depth)
 
 
 def lattice_key(module):
@@ -501,9 +560,10 @@ def dilation_system(n):
 
 
 def test_grow_budget_refuses_a_step_before_building_it(monkeypatch):
-    """Depth 2 of a dilation by 700 has 490,000 tiles: the step is refused
-    with grow_lattice's message, before the pair budget is consulted and
-    before any substitution builds the patch."""
+    """Depth 2 of a dilation by 700 has 490,000 tiles: the step of the
+    joint patch is refused with grow_lattice's message before any
+    substitution builds it; the module sample forms no pairs, so the
+    pair budget never comes into it."""
     system = dilation_system(700)
     sizes = []
     real = tiles.substitute
@@ -534,24 +594,54 @@ def test_pair_budget_bounds_return_enumeration(np26, monkeypatch):
     assert err.getvalue() == f"error: {message}\n"
 
 
+def test_grow_budget_refuses_one_block_over_it(fib, monkeypatch):
+    """The budget bounds each prototile's block, not the joint patch: at
+    depth 5 fibonacci's `a` grows to 13 tiles and `b` to 8.  With a
+    budget of 12, `a` alone is refused, before the step to depth 5 is
+    built; with 13 both grow, though together they hold 21 tiles."""
+    steps = []
+    real = tiles.substitute
+
+    def spy(form, types, *args, **kwargs):
+        steps.append(len(types))
+        return real(form, types, *args, **kwargs)
+
+    monkeypatch.setattr(tiles, "substitute", spy)
+    monkeypatch.setattr(tiles, "DEFAULT_GROW_BUDGET", 12)
+    grown = fib.grow_lattices(["b", "a"], (4, 5))
+    assert next(grown).sizes == (5, 8)
+    assert len(steps) == 4
+    with pytest.raises(BudgetError) as info:
+        next(grown)
+    assert str(info.value) == "grow would produce more than 12 tiles"
+    assert len(steps) == 4  # nothing of depth 5 was built
+    with pytest.raises(BudgetError) as info:
+        fib.grow_lattice("a", 5)
+    assert str(info.value) == "grow would produce more than 12 tiles"
+    assert len(fib.grow_lattice("b", 5)[0]) == 8
+    monkeypatch.setattr(tiles, "DEFAULT_GROW_BUDGET", 13)
+    (grown,) = fib.grow_lattices(["b", "a"], [5])
+    assert grown.sizes == (8, 13) and len(grown.types) == 21
+
+
 def test_kenyon_at_the_sample_depth_holds_by_construction(seven):
     """Every return sampled at the module's depth has integer coordinates
-    over the Kenyon basis, which kenyon_basis no longer checks there, and
-    verified_count counts them."""
+    over the coordinate basis, which checks no rows, and kenyon_basis,
+    which checks them, counts them and builds the same basis."""
     for name, system in seven.items():
         module = stabilized_module(system)
-        kb = kenyon_basis(system, module, module.sample_depth)
+        basis = returns.coordinate_basis(system, module)
         rows, den = returns._return_rows(system, module.sample_depth)
-        assert kb.integral_rows(rows, den).all(), name
-        assert kb.verified_count == len(rows) == module.sample_size, name
-        # a count kept for kenyon_basis, not part of the module's value
-        assert "sample_size" not in module.serialize() and "sample_size" not in repr(module)
-        assert dataclasses.replace(module, sample_size=None) == module, name
+        assert basis.integral_rows(rows, den).all(), name
+        kb = kenyon_basis(system, module, module.sample_depth)
+        assert kb.verified_count == len(rows), name
+        assert kb.serialize() == {**basis.serialize(), "verified_returns": len(rows)}, name
 
 
-def test_kenyon_reuses_the_module_sample(seven, monkeypatch):
-    """kenyon_basis at a stabilized module's sample depth reads no rows;
-    one depth less, or for a module from group_basis, it enumerates once."""
+def test_kenyon_enumerates_once_at_every_depth(seven, monkeypatch):
+    """kenyon_basis enumerates the returns once at the depth asked, also
+    at a stabilized module's sample depth, and a module from group_basis
+    at that depth gives the same basis and count."""
     calls = []
     real = returns._return_rows
 
@@ -565,7 +655,9 @@ def test_kenyon_reuses_the_module_sample(seven, monkeypatch):
         depth = module.sample_depth
         calls.clear()
         kb = kenyon_basis(system, module, depth).serialize()
-        assert calls == [], name
+        assert calls == [depth], name
+        assert kb["verified_returns"] == len(real(system, depth)[0]), name
+        calls.clear()
         shallower = kenyon_basis(system, module, depth - 1).serialize()
         assert calls == [depth - 1], name
         assert shallower == {**kb, "verified_returns": len(real(system, depth - 1)[0])}, name
@@ -573,3 +665,20 @@ def test_kenyon_reuses_the_module_sample(seven, monkeypatch):
         calls.clear()
         assert kenyon_basis(system, sampled, depth).serialize() == kb, name
         assert calls == [depth], name
+
+
+def test_kenyon_counts_the_returns_of_its_depth(seven):
+    """`kenyon --depth D` verifies exactly the returns `returns --depth D`
+    counts, for D from 0 to one past the module's sample depth."""
+
+    def run(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        assert cli_dispatch(list(argv), out, err) == 0, argv
+        return json.loads(out.getvalue())
+
+    for name, system in seven.items():
+        path = str(corpus_path(name) if name in NAMES else TRIBONACCI.parent / f"{name}.json")
+        for depth in range(stabilized_module(system).sample_depth + 2):
+            count = run("returns", path, "--depth", str(depth))["count"]
+            verified = run("kenyon", path, "--depth", str(depth))["verified_returns"]
+            assert verified == count, (name, depth)

@@ -287,7 +287,8 @@ def test_grow_counts_match_matrix_powers(systems):
 def test_grow_step_consistency(fib, chair):
     for system, tid in ((fib, "a"), (chair, "NE")):
         p3 = system.grow(tid, 3)
-        stepped = system._patch_of(*system.step_lattice(*system.grow_lattice(tid, 2))[:3])
+        _, grown = system.grow_lattices([tid], (2, 3))  # depth 3 is one step from depth 2
+        stepped = system._patch_of(*grown[:3])
         assert [t.key() for t in p3] == [t.key() for t in stepped]
 
 
