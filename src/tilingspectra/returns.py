@@ -4,10 +4,11 @@ integer-coefficient basis certifying Z[theta]-coordinates.
 The translation vectors between same-type tiles generate a free abelian
 group; embedding their power-basis coordinates into Q^(d*s), clearing
 denominators and taking a Hermite normal form gives a canonical basis V.
-The sample grows every prototile as one patch, one substitution step per
-depth, and takes one generator per tile: its difference to the first
-tile of its type in the same patch, which generates the same group as
-all same-type differences.  Multiplication by theta maps the group into
+`enumerate_returns` grows every prototile and takes all pairwise
+differences; the module's sample grows no patch, but carries per
+prototile one offset of each type in its n-fold substitution and a basis
+of its same-type differences from one depth to the next, straight from
+the rules (`_sample_keys`).  Multiplication by theta maps the group into
 itself on a stabilized sample, producing an integer matrix M with
 theta*V = V*M, whose characteristic polynomial must vanish at theta.
 Control points fixed by the tile-map choice solve an exact linear
@@ -21,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import add, mul, sub
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -48,7 +51,7 @@ from .intlattice import (
     vectors,
     widen,
 )
-from .lattice import charpoly, field_solve
+from .lattice import charpoly, field_solve, hnf
 from .ordering import value_order
 from .tiles import SubstitutionSystem
 
@@ -102,7 +105,10 @@ def _patch_returns(system: SubstitutionSystem, grown):
     group, from either difference path, are deduplicated together and
     unpacked once."""
     den = grown.den
-    groups = _type_groups(system, grown)
+    groups = [
+        coords[types == p] for types, coords in grown.parts() for p in range(len(system.order))
+    ]
+    groups = [g for g in groups if len(g) > 1]  # same-type tiles of one block
     if sum(len(g) * (len(g) - 1) for g in groups) > DEFAULT_PAIR_BUDGET:
         raise BudgetError(f"return enumeration exceeds pair budget {DEFAULT_PAIR_BUDGET}")
     if not groups:
@@ -248,12 +254,17 @@ def group_basis(sample: ReturnSample, field: NumberField = None) -> ReturnModule
     return _module_of(field, key, sample.coords.shape[1], sample.depth, sample.dimension)
 
 
-def _basis_of(coords, den):
-    """(D, hnf rows): the smallest denominator D of the rows coords / den
+def _basis_of(rows, den):
+    """(D, hnf rows): the smallest denominator D of the integer rows / den
     and the canonical HNF rows of the group they generate over 1 / D;
-    the pair determines the rational lattice."""
-    coords, den = reduce_rows(coords, den)
-    return den, lattice_basis(coords)
+    the pair determines the rational lattice.  `rows` is an array (a
+    sample, whose HNF `lattice_basis` takes incrementally) or a list of
+    rows of Python ints (a few generators, one HNF)."""
+    if isinstance(rows, np.ndarray):
+        rows, den = reduce_rows(rows, den)
+        return den, lattice_basis(rows)
+    g = gcd(den, *chain.from_iterable(rows))
+    return den // g, hnf([[v // g for v in row] for row in rows])
 
 
 def _module_of(field, key, width: int, depth: int, dimension: int) -> ReturnModule:
@@ -275,19 +286,18 @@ def stabilized_module(
 ) -> ReturnModule:
     """Deepen the sample until consecutive depths generate the same group.
 
-    All prototiles grow as one patch, one substitution step per depth.
-    Each depth's group is generated by every tile minus the first tile of
-    its type in the same patch (`_first_differences`), which generate
-    the group of all same-type differences.  Depths are compared on
-    their (denominator, HNF rows), and only the module returned gets its
+    Each depth's group, that of all same-type differences within the
+    n-fold substitution of each prototile, comes from the rules by
+    `_sample_keys`, which grows no patch.  Depths are compared on their
+    (denominator, HNF rows), and only the module returned gets its
     generator vectors."""
-    last, stabilized = None, False
     depths = range(start_depth, max_depth + 1)
-    for depth, grown in zip(depths, system.grow_lattices(system.order, depths)):
-        rows = _first_differences(system, grown)
-        if not len(rows):
+    if depths and start_depth < 0:
+        raise TilingError("depth must be nonnegative")
+    last, stabilized = None, False
+    for depth, key in zip(depths, _sample_keys(system, depths)):
+        if key is None:
             continue
-        key = _basis_of(rows, grown.den)
         stabilized = last is not None and key == last[0]
         last = key, depth
         if stabilized:
@@ -301,32 +311,58 @@ def stabilized_module(
     return module
 
 
-def _first_differences(system: SubstitutionSystem, grown) -> np.ndarray:
-    """Integer rows, over grown.den, of each tile of the `tiles.JointPatch`
-    grown minus the first tile of its type in the same block, for every
-    tile but that first one.
+def _sample_keys(system: SubstitutionSystem, depths):
+    """Yield, at each of the ascending nonnegative `depths` n, the
+    `_basis_of` key of the group of same-type differences within the
+    omega^n(t) of all prototiles t, from the rules in Python ints; None
+    where the group is {0}, which in a valid system means that no
+    omega^n(t) holds two tiles of one type.
 
-    They generate the same group as all differences x - y of same-type
-    tiles of a block: each is one of them, and x - y = (x - f) - (y - f)
-    with f the first tile of that type.  So the reduced denominator and
-    the HNF rows of `_basis_of` are the same for both.  Entries of an
-    int64 patch are below INT64_LIMIT = 2^62, so a difference fits too."""
-    parts = [offsets[1:] - offsets[0] for offsets in _type_groups(system, grown)]
-    if not parts:
-        return np.zeros((0, system.field.degree * system.dimension), dtype=np.int64)
-    return np.concatenate(parts)
+    omega^(n+1)(t) is the union over the children c of t of theta^n o_c
+    + omega^n(tau_c).  Per t the recursion keeps first[t][p], the offset
+    of one tile of type p in omega^n(t), and basis[t], an HNF basis of
+    its same-type differences.  A step takes for first'[t][p] the sum
+    theta^n o_c + first[tau_c][p] of the first child c whose sub-patch
+    holds p, and for basis'[t] the HNF of the children's bases and of
+    every other child's such sum minus first'[t][p].  Each generator is a
+    difference of two tiles of type p, and tiles y, y' of type p from
+    children c, c' differ by (y - theta^n o_c - first[tau_c][p]) +
+    (theta^n o_c + first[tau_c][p] - first'[t][p]) minus the same for
+    y', c': a sum of generators.  The bases stay per prototile: one that
+    is no rule's child has no copy a depth deeper, so its differences
+    must not pass on."""
+    form = system.rule_form
+    cols = list(zip(*form.theta))  # row @ theta, one column at a time
+    placed = list(form.offsets)  # theta^n o_c, over form.den
+    zero = (0,) * len(cols)
+    first = [{t: zero} for t in range(len(form.spans))]
+    basis = [[] for _ in form.spans]
+    n = 0
+    for depth in depths:
+        while n < depth:
+            first, basis = zip(*(
+                _substituted(span, form.kinds, placed, first, basis) for span in form.spans
+            ))
+            placed = [tuple(sum(map(mul, row, col)) for col in cols) for row in placed]
+            n += 1
+        rows = [row for block in basis for row in block]
+        yield _basis_of(rows, form.den) if rows else None
 
 
-def _type_groups(system: SubstitutionSystem, grown) -> list:
-    """The offset rows of the tiles of one type in one block of the
-    `tiles.JointPatch` grown, for each group of at least two tiles."""
-    groups = []
-    for types, coords in grown.parts():
-        for p in range(len(system.order)):
-            offsets = coords[types == p]
-            if len(offsets) > 1:
-                groups.append(offsets)
-    return groups
+def _substituted(span, kinds, placed, first, basis):
+    """(first, basis) of one prototile one depth deeper, from its
+    children's rows `span` of the rule form (see `_sample_keys`)."""
+    into, gens = {}, set()
+    for c in span:
+        gens.update(basis[kinds[c]])
+        at = placed[c]
+        for p, row in first[kinds[c]].items():
+            row = tuple(map(add, at, row))
+            if p in into:
+                gens.add(tuple(map(sub, row, into[p])))
+            else:
+                into[p] = row
+    return into, [tuple(row) for row in hnf(gens)]
 
 
 def phi_action(module: ReturnModule, system: SubstitutionSystem):

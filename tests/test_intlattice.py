@@ -320,6 +320,8 @@ def test_incremental_basis_equals_full_hnf(case, chunk, den):
         module = group_basis(sample, field)
     reduced, rden = intlattice.reduce_rows(coords, den)
     assert (module.denominator, module.hnf_rows) == (rden, hnf(reduced.tolist()))
+    # the key rule on rows of Python ints, as the module sample forms it
+    assert returns._basis_of(rows, den) == (rden, hnf(reduced.tolist()))
 
 
 # rows far below the others and far apart, which take value_order past

@@ -9,6 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy
+from generated_systems import constant_length_system, draw_constant_length
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tilingspectra import TilingError, intlattice
 from tilingspectra import returns, tiles
@@ -28,7 +31,13 @@ from tilingspectra.returns import (
     stabilized_module,
     verify_control_point_dynamics,
 )
-from tilingspectra.spectra import dual_basis, eigenvalue_module
+from tilingspectra.spectra import (
+    Alpha,
+    dual_basis,
+    eigenvalue_module,
+    eigenvalue_report,
+    system_module,
+)
 from tilingspectra.systemfile import parse_system, serialize_system, system_from_dict
 from tilingspectra.tiles import validate
 
@@ -477,31 +486,32 @@ def test_stepped_patches_match_growth_in_python_ints(seven, monkeypatch):
 
 def pairwise_key(system, depth):
     """The group key of all same-type differences of each prototile's
-    patch, as stabilized_module formed them before first differences."""
-    return returns._basis_of(*returns._return_rows(system, depth))
+    grown patch, or None when there is none."""
+    rows, den = returns._return_rows(system, depth)
+    return returns._basis_of(rows, den) if len(rows) else None
 
 
-def test_first_differences_give_the_pairwise_group(seven, monkeypatch):
-    """At depths 2-6 the rows of each tile minus the first tile of its
-    type generate the group of all same-type differences: same reduced
-    denominator and same HNF rows, in int64 and in Python ints."""
-    for name, system in seven.items():
-        depths = range(2, 7)
-        for depth, grown in zip(depths, system.grow_lattices(system.order, depths)):
-            rows = returns._first_differences(system, grown)
-            assert len(rows) == len(grown.types) - sum(
-                len(np.unique(types)) for types, _ in grown.parts()
-            ), (name, depth)
-            key = returns._basis_of(rows, grown.den)
+def test_sample_keys_give_the_pairwise_group(seven, monkeypatch):
+    """At depths 0-6 the recursion over the rules gives the key of the
+    group of all same-type differences within each prototile's patch
+    (None where no patch holds two tiles of one type): same reduced
+    denominator and same HNF rows, also against pairwise differences
+    taken in Python ints.  In `c_no_child`, c's block at depth 1 has the
+    difference 1, but every depth-2 patch is abab, with the group 2Z."""
+    c_no_child = system_from_dict(constant_length_system(2, {"a": "ab", "b": "ab", "c": "bb"}))
+    assert list(returns._sample_keys(c_no_child, range(3)))[1:] == [(1, [[1]]), (1, [[2]])]
+    for name, system in {**seven, "c_no_child": c_no_child}.items():
+        keys = list(returns._sample_keys(system, range(7)))
+        for depth, key in enumerate(keys):
             assert key == pairwise_key(system, depth), (name, depth)
+        assert keys[0] is None and keys[6] is not None, name
     monkeypatch.setattr(intlattice, "INT64_LIMIT", 2)
     for name, system in seven.items():
         fresh = system_from_dict(serialize_system(system))
-        depths = range(2, 5)
-        for depth, grown in zip(depths, fresh.grow_lattices(fresh.order, depths)):
-            rows = returns._first_differences(fresh, grown)
-            assert rows.dtype == object, name
-            assert returns._basis_of(rows, grown.den) == pairwise_key(fresh, depth), (name, depth)
+        assert returns._return_rows(fresh, 2)[0].dtype == object, name
+        keys = returns._sample_keys(fresh, range(5))
+        for depth, key in enumerate(keys):
+            assert key == pairwise_key(fresh, depth), (name, depth)
 
 
 def lattice_key(module):
@@ -550,20 +560,14 @@ def test_stabilized_module_matches_depth_loop(seven):
 
 def dilation_system(n):
     """The unit interval cut into n unit tiles: theta = n, one prototile."""
-    return system_from_dict({
-        "name": f"dilation{n}",
-        "dimension": 1,
-        "theta": {"minpoly": [-n, 1], "approx": str(n)},
-        "prototiles": [{"id": "a", "support": {"type": "interval", "length": ["1"]}}],
-        "rules": {"a": [{"tile": "a", "offset": [[str(k)]]} for k in range(n)]},
-    })
+    return system_from_dict(constant_length_system(n, {"a": "a" * n}, f"dilation{n}"))
 
 
 def test_grow_budget_refuses_a_step_before_building_it(monkeypatch):
-    """Depth 2 of a dilation by 700 has 490,000 tiles: the step of the
-    joint patch is refused with grow_lattice's message before any
-    substitution builds it; the module sample forms no pairs, so the
-    pair budget never comes into it."""
+    """Depth 2 of a dilation by 700 has 490,000 tiles.  The module sample
+    grows no patch, so it finds the group Z, stabilized at depth 2, with
+    no substitution; growth to depth 2 is refused with grow_lattice's
+    message before any substitution builds it."""
     system = dilation_system(700)
     sizes = []
     real = tiles.substitute
@@ -573,13 +577,75 @@ def test_grow_budget_refuses_a_step_before_building_it(monkeypatch):
         return real(form, types, *args, **kwargs)
 
     monkeypatch.setattr(tiles, "substitute", spy)
+    module = stabilized_module(system, start_depth=1)
+    assert lattice_key(module) == (1, ((1,),))
+    assert module.stabilized and module.sample_depth == 2
+    assert sizes == []
+    grown = system.grow_lattices(["a"], [1, 2])
+    assert len(next(grown).types) == 700
     with pytest.raises(BudgetError) as info:
-        stabilized_module(system, start_depth=1)
+        next(grown)
     assert str(info.value) == "grow would produce more than 400000 tiles"
     with pytest.raises(BudgetError) as info:
         system.grow_lattice("a", 2)
     assert str(info.value) == "grow would produce more than 400000 tiles"
     assert sizes == [1]  # the one step of the depth-1 growth, from the root tile
+
+
+def test_module_path_builds_no_patch(seven, monkeypatch):
+    """On freshly parsed systems the return module, and an eigenvalue
+    report from it, substitute nothing and build no lattice form."""
+    calls = []
+    real = tiles.substitute
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tiles, "substitute", spy)
+    for name, system in seven.items():
+        fresh = system_from_dict(serialize_system(system))
+        system_module(fresh)
+        assert fresh._lattice is None and not calls, name
+    for name in ("fibonacci", "tribonacci"):
+        fresh = system_from_dict(serialize_system(seven[name]))
+        alpha = Alpha(fresh.field.vec([1]))
+        eigenvalue_report(fresh, alpha)
+        assert fresh._lattice is None and not calls, name
+    with pytest.raises(TilingError, match="depth must be nonnegative"):
+        stabilized_module(seven["fibonacci"], -1, 3)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.randoms(use_true_random=False))
+def test_generated_constant_length_systems(tmp_path, rng):
+    """On generated systems with theta = q (periodic, non-primitive, some
+    letters no child): the recursion's keys are the pairwise keys at
+    depths 0-4, the module is the depth loop's, and `weakmixing` ends in
+    exit 0 or 1 with a message; on exit 0 it finds theta Pisot, so the
+    system is not weak mixing."""
+    data = draw_constant_length(rng)
+    system = system_from_dict(data)
+    for depth, key in enumerate(returns._sample_keys(system, range(5))):
+        assert key == pairwise_key(system, depth), (data["rules"], depth)
+    # depth 6 holds q^6 >= 64 tiles of at most four types: never empty
+    got, expected = stabilized_module(system, 2, 6), reference_stabilized_module(system, 2, 6)
+    assert got.serialize() == expected.serialize(), data["rules"]
+    assert lattice_key(got) == lattice_key(expected), data["rules"]
+    path = tmp_path / "generated.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    code = cli_dispatch(["weakmixing", str(path)], out, err)
+    assert code in (0, 1) and "Traceback" not in err.getvalue(), err.getvalue()
+    verdict = json.loads(out.getvalue())
+    if code == 0:
+        assert verdict["pisot"] is True and verdict["weak_mixing"] is False, data["rules"]
+    else:
+        assert verdict["error"] and err.getvalue(), data["rules"]
 
 
 def test_pair_budget_bounds_return_enumeration(np26, monkeypatch):
