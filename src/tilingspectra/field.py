@@ -4,9 +4,11 @@ An element is integers over one denominator: its power-basis
 coordinates in 1, theta, ..., theta^(s-1) are `nums / den`, with
 `den > 0` and `gcd(den, *nums) == 1`, the integer form `intlattice`
 gives a single entry.  Everything under it is integer work too: the
-reduction rows of the one reduced product (`NumberField.mul`), the power
-traces, and the integer systems that inverses hand to the one exact
-solver of `lattice`.  There is one sign rule, `NumberField.sign` of
+reduction rows of the one reduced product (`NumberField.mul`) and the
+power traces.  `NumberField.solve` is the one embedding of a Q(theta)
+linear system into Q: every inverse, rank and coordinate map over
+Q(theta) goes through it to the one exact solver of `lattice`, in
+Python ints.  There is one sign rule, `NumberField.sign` of
 integer coordinates: the int's sign in degree 1, else the refinement of
 theta's isolating interval until the interval value excludes zero.
 Order comparisons are signs of differences.
@@ -117,6 +119,28 @@ class NumberField:
                 for i, v in enumerate(row):
                     out[i] += c * v
         return out
+
+    def solve(self, rows, targets=()):
+        """The one embedding of a Q(theta) system into Q: the
+        `lattice.Solution` of y @ R = t for each target row t, where
+        row j*s + m of R holds the coordinates of theta^m * rows[j].
+
+        `rows` and `targets` are integer rows of s power-basis
+        coordinates per entry, all of one width.  Column k holds, over
+        det, the coordinates of the x_j in Q(theta) with sum_j x_j
+        rows[j] = targets[k] (coordinate m of x_j at j*s + m), and
+        rank // s is the Q(theta)-rank of the rows."""
+        s = self.degree
+        theta = self.gen().nums
+        R = []
+        for row in rows:
+            row = list(map(int, row))
+            blocks = [row[k : k + s] for k in range(0, len(row), s)]
+            R.append(row)
+            for _ in range(s - 1):
+                blocks = [self.mul(b, theta) for b in blocks]
+                R.append([c for b in blocks for c in b])
+        return field_solve(list(zip(*R)), targets)
 
     def sign(self, nums) -> int:
         """Exact sign (-1, 0, +1) of the element with the integer
@@ -251,13 +275,8 @@ class QThetaElem:
         field, s = self.field, self.field.degree
         if self.is_rational():
             return QThetaElem(field, [self.den] + [0] * (s - 1), self.nums[0])
-        # Solve sum_j c_j theta^j a = 1 for the c_j: with a = nums / den,
-        # column j holds the coordinates of theta^j nums, the right side den
-        theta = [0, 1] + [0] * (s - 2)
-        cols = [self.nums]
-        for _ in range(s - 1):
-            cols.append(field.mul(cols[-1], theta))
-        sol = field_solve(list(zip(*cols)), [[self.den] + [0] * (s - 1)])
+        # x * nums = den, with a = nums / den, is x = 1 / a
+        sol = field.solve([self.nums], [[self.den] + [0] * (s - 1)])
         if sol.rank < s:
             raise ZeroDivisionError(
                 "element is a zero divisor: minimal polynomial is reducible"

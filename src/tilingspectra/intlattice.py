@@ -12,9 +12,9 @@ LatticeForm arrays are built from that.
 
 Arrays are int64 while a bound on every entry an operation can produce
 stays below `INT64_LIMIT`, and arrays of Python ints (dtype object)
-beyond it, so every result is exact either way.  A linear system over
-Q(theta) becomes an integer system over Q (`embed_matrix`) for the one
-exact solver, `lattice.field_solve`.
+beyond it, so every result is exact either way.  Linear systems over
+Q(theta) are not solved on these arrays but on rows of Python ints, by
+`NumberField.solve`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .field import NumberField, QThetaElem, QThetaVec, unchecked
-from .lattice import field_solve, hnf
+from .lattice import hnf
 
 INT64_LIMIT = 1 << 62
 _HNF_CHUNK = 16  # rows per HNF in `lattice_basis`
@@ -178,40 +178,6 @@ def theta_rows(field: NumberField, d: int) -> list:
         for j in range(s):
             rows[k + s - 1][k + j] = -b[j]
     return rows
-
-
-def power_rows(rows: np.ndarray, theta: np.ndarray, s: int) -> np.ndarray:
-    """(n*s, w) array whose row i*s + m is rows[i] @ theta^m, the integer
-    form of theta^m times vector i.  Over Q these rows span what the
-    vectors span over Q(theta)."""
-    out = [rows]
-    for _ in range(s - 1):
-        out.append(matmul(out[-1], theta))
-    return np.stack(out, axis=1).reshape(len(rows) * s, rows.shape[1])
-
-
-def span_rank(field: NumberField, rows: np.ndarray) -> int:
-    """Q(theta)-rank of the vectors with integer rows `rows`: the Q-rank
-    of their `power_rows`, over s."""
-    s = field.degree
-    theta = theta_matrix(field, rows.shape[1] // s)
-    return field_solve(power_rows(rows, theta, s).tolist()).rank // s
-
-
-def embed_matrix(field: NumberField, mat):
-    """(rows, den): the n x k matrix `mat` over Q(theta) as an integer
-    (n*s) x (k*s) matrix over Q.  Entry a becomes the transposed s x s
-    block of multiplication by den * a, so mat x = b holds iff rows @
-    coords(x) = den * coords(b), with coords the power-basis coordinates
-    entry after entry."""
-    s = field.degree
-    n, k = len(mat), len(mat[0])
-    coeffs, den = embed_rows([QThetaVec(tuple(row)) for row in mat])
-    entries = int_array(coeffs, k * s).reshape(n * k, s)
-    # blocks[i, j, u, t]: coordinate t of den * mat[i][j] * theta^u, so
-    # blocks[i, j] is the block of multiplication by den * mat[i][j]
-    blocks = power_rows(entries, theta_matrix(field, 1), s).reshape(n, k, s, s)
-    return blocks.transpose(0, 3, 1, 2).reshape(n * s, k * s).tolist(), den
 
 
 def rows_in(rows: np.ndarray, table: np.ndarray) -> bool:

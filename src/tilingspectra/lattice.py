@@ -3,8 +3,8 @@
 Row-style Hermite normal form over Z gives canonical bases for the
 finitely generated groups sampled from tilings; one fraction-free
 elimination over Q on integer rows gives every rank, solution and
-inverse, field inverses in Q(theta) included (a Q(theta) system is
-solved on its integer rows, which its caller builds);
+inverse, those over Q(theta) included (`NumberField.solve` embeds a
+Q(theta) system into its integer rows);
 Faddeev-LeVerrier produces exact characteristic polynomials of small
 integer matrices.
 """
@@ -78,9 +78,8 @@ def field_solve(rows, rhs=()) -> Solution:
     because every entry stays a minor of the augmented matrix.  At the
     end each pivot row holds the last pivot at its pivot column, zeros at
     the others, and the numerators of its unknown on the right.  Systems
-    over Q(theta) are solved on integer rows: `intlattice.embed_matrix`
-    builds them for a matrix of elements, and the control points and
-    `QThetaElem.inverse` build their blocks directly.
+    over Q(theta) reach it only through `NumberField.solve`, which
+    builds their integer rows.
     """
     n = len(rows)
     m = len(rows[0]) if rows else 0

@@ -40,11 +40,9 @@ from .intlattice import (
     lattice_basis,
     matmul,
     pack,
-    power_rows,
     radix,
     reduce_rows,
     rows_in,
-    span_rank,
     theta_matrix,
     unique_keys,
     unpack,
@@ -216,8 +214,7 @@ class ReturnModule:
         if not self.generators:
             return False
         field = self.generators[0].field
-        rows = int_array(self.hnf_rows, len(self.hnf_rows[0]))
-        return span_rank(field, rows) == self.dimension
+        return field.solve(self.hnf_rows).rank // field.degree == self.dimension
 
     def _coordinates(self, rows, den: int):
         """Per row of rows / den (integer form, see `intlattice`): its
@@ -445,16 +442,15 @@ def _build_controls(system: SubstitutionSystem) -> Controls:
     # the rule form's row of each prototile's tile-map child
     rows = [span.start + k for span, (k, _) in zip(form.spans, gamma.values())]
     # (theta*I - P) c = d, with P the 0/1 matrix of tau, one right-hand
-    # side per coordinate axis, on power-basis coordinates: theta acts on a
-    # coordinate column by the transposed companion block, 1 by I_s
-    P = np.zeros((m, m), dtype=np.int64)
+    # side per coordinate axis: c holds the coordinates of d over the
+    # columns theta e_j - sum_{tau(i)=j} e_i of theta*I - P
+    theta, cols = field.gen().nums, [[0] * (m * s) for _ in range(m)]
+    for j, col in enumerate(cols):
+        col[j * s : (j + 1) * s] = theta
     for i, row in enumerate(rows):
-        P[i, form.kinds[row]] = 1
-    lhs = np.kron(np.eye(m, dtype=np.int64), theta_matrix(field, 1).T) - np.kron(
-        P, np.eye(s, dtype=np.int64)
-    )
+        cols[form.kinds[row]][i * s] -= 1
     rhs = [[form.offsets[row][k * s + t] for row in rows for t in range(s)] for k in range(d)]
-    sol = field_solve(lhs.tolist(), rhs)
+    sol = field.solve(cols, rhs)
     if sol.rank < m * s:
         raise TilingError("singular matrix in exact solve")
     # coordinate t of axis k of c_i is column k, row i*s + t, over det * form.den
@@ -468,7 +464,8 @@ def _build_controls(system: SubstitutionSystem) -> Controls:
     found = _spanning_differences(system, points)
     if found is None:
         return Controls(cps, (), None)
-    return Controls(cps, tuple(vectors(field, *found)), _coordinate_map(field, *found))
+    seeds = vectors(field, int_array(found[0], d * s), found[1])
+    return Controls(cps, tuple(seeds), _coordinate_map(field, *found))
 
 
 def _times(arr: np.ndarray, k: int) -> np.ndarray:
@@ -595,27 +592,27 @@ def kenyon_basis(system: SubstitutionSystem, module: ReturnModule, depth: int) -
 
 def _coordinate_map(field: NumberField, rows, den: int):
     """(T, L) with T an integer (w, w) matrix and L > 0 such that row @ T
-    / L holds the power-basis coordinates, over the d spanning vectors
-    rows / den, of the vector with power-basis coordinates `row`.
+    / L holds the power-basis coordinates, over the d vectors rows / den
+    (integer rows of Python ints), of the vector with power-basis
+    coordinates `row`.
 
-    v = sum_j x_j e_j with x_j in Q(theta) reads, in coordinates,
-    coords(v) = (coordinates of the x_j) @ R / den, R the `power_rows` of
-    the e_j; so T / L = den * R^-1, with R^-1 from the exact solver."""
-    s = field.degree
-    R = power_rows(rows, theta_matrix(field, len(rows)), s).tolist()
-    n = len(R)
-    sol = field_solve(R, [[int(i == k) for i in range(n)] for k in range(n)])
-    T, L = reduce_rows(_times(int_array(zip(*sol.columns), n), den), sol.det)
+    Row k of T / L is the coordinates of the k-th unit row, which
+    `NumberField.solve` gives over rows, divided by den."""
+    n = len(rows[0])
+    sol = field.solve(rows, [[int(i == k) for i in range(n)] for k in range(n)])
+    if sol.rank < n:
+        raise TilingError("vectors do not span the space")
+    T, L = reduce_rows(_times(int_array(sol.columns, n), den), sol.det)
     T.setflags(write=False)
     return T, L
 
 
 def _spanning_differences(system, points):
     """(rows, den) of a greedy full-rank set of control-point differences,
-    canonical: each patch is grown, in canonical tile order, and its
-    differences to its first tile are taken only while the rank is still
-    short; None when depth 4 is not enough.  `points` is the integer form
-    (rows, den) of the prototiles' control points."""
+    lists of Python ints, canonical: each patch is grown, in canonical tile
+    order, and its differences to its first tile are taken only while the
+    rank is still short; None when depth 4 is not enough.  `points` is the
+    integer form (rows, den) of the prototiles' control points."""
     field, form = system.field, system.lattice_form()
     chosen = []
     for grown in system.grow_lattices(system.order, (2, 3, 4)):
@@ -624,8 +621,9 @@ def _spanning_differences(system, points):
             # one den for every patch: a substitution step keeps the form's
             rows, den = _control_rows(points, types[perm], coords[perm], grown.den)
             for cand in rows[1:] - rows[0]:
-                if cand.any() and span_rank(field, np.array(chosen + [cand])) > len(chosen):
+                cand = cand.tolist()
+                if any(cand) and field.solve(chosen + [cand]).rank // field.degree > len(chosen):
                     chosen.append(cand)
                     if len(chosen) == system.dimension:
-                        return np.array(chosen), den
+                        return chosen, den
     return None

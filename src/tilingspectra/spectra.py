@@ -18,10 +18,9 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import TilingError
 from .field import QThetaElem, QThetaVec
-from .intlattice import embed, embed_matrix, int_array, span_rank, vectors
-from .lattice import field_solve
+from .intlattice import embed_rows, vectors
 from .pisot import PisotCertificate, is_pisot
-from .returns import ReturnModule, coordinate_basis, stabilized_module
+from .returns import ReturnModule, _coordinate_map, coordinate_basis, stabilized_module
 from .tiles import SubstitutionSystem
 from .traces import dist_to_int, dist_to_int_limit
 
@@ -54,7 +53,8 @@ class PeriodGroup:
     def rank(self) -> int:
         if not self.generators:
             return 0
-        return span_rank(self.generators[0].field, embed(self.generators)[0])
+        field = self.generators[0].field
+        return field.solve(embed_rows(self.generators)[0]).rank // field.degree
 
     def classification(self, dimension: int) -> str:
         r = self.rank
@@ -77,15 +77,17 @@ def dual_basis(basis) -> list:
     d = basis[0].dim
     if len(basis) != d:
         raise TilingError(f"need exactly {d} basis vectors, got {len(basis)}")
-    # rows @ x = e_j on the integer embedding: den * e_j has den at
-    # coordinate 0 of entry j
-    rows, den = embed_matrix(field, [b.entries for b in basis])
-    n = d * field.degree
-    units = [[den * (i == j * field.degree) for i in range(n)] for j in range(d)]
-    sol = field_solve(rows, units)
-    if sol.rank != n:
-        raise TilingError("vectors do not span the space")
-    return vectors(field, int_array(sol.columns, n), sol.det)
+    return _duals(field, _coordinate_map(field, *embed_rows(basis)))
+
+
+def _duals(field, coordinate_map) -> list:
+    """The dual basis of the d vectors whose `returns._coordinate_map` is
+    (T, L): entry k of b*_j is coordinate j of the k-th unit vector over
+    the b_i, which is block j of row k*s of T, over L."""
+    T, L = coordinate_map
+    s, d = field.degree, len(T) // field.degree
+    rows = T[::s].reshape(d, d, s).transpose(1, 0, 2).reshape(d, d * s)
+    return vectors(field, rows, L)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +264,7 @@ def eigenvalue_module(system: SubstitutionSystem) -> EigenvalueModule:
     kb = coordinate_basis(system, module)
     partial = False
     if kind == "aperiodic":
-        candidates = dual_basis(kb.basis)
+        candidates = _duals(system.field, kb.coordinate_map)
         description = "Z[1/theta]-combinations of the generators are eigenvalues"
     elif kind == "periodic":
         if system.field.degree != 1:
@@ -276,7 +278,7 @@ def eigenvalue_module(system: SubstitutionSystem) -> EigenvalueModule:
         candidates = dual_basis(module.generators)
         description = "dual lattice of the return group"
     else:
-        candidates = dual_basis(kb.basis)
+        candidates = _duals(system.field, kb.coordinate_map)
         description = (
             "heuristic: duals of the coordinate basis, filtered by verification"
         )

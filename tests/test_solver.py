@@ -1,5 +1,6 @@
 """The one exact solver (fraction-free elimination on integer rows, Q(theta)
-systems through their integer embedding) against the Fraction and
+systems through their one integer embedding, `NumberField.solve`) against
+the Fraction and
 Q(theta) Gauss-Jordan eliminations it replaced, kept here as the
 reference: the same rank, the same solution (free unknowns 0) or the
 same inconsistency, and the same inverse, over Q, Q(golden) and a cubic
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilingspectra import IntPoly, NumberField, TilingError, make_algebraic
-from tilingspectra.intlattice import embed_matrix, embed_rows
+from tilingspectra.intlattice import embed_rows
 from tilingspectra.lattice import field_solve
 from tilingspectra.spectra import dual_basis
 
@@ -144,17 +145,36 @@ def systems(draw):
     return field, A, b
 
 
+def embedded_columns(field, A, targets=()):
+    """(rows, targets, den): the columns of A and the target vectors as
+    integer rows over one common denominator den."""
+    rows, den = embed_rows([field.vec(col) for col in zip(*A)] + [field.vec(t) for t in targets])
+    return rows[: len(A[0])], rows[len(A[0]) :], den
+
+
+def theta_power_rows(field, rows):
+    """The rows theta^m * rows[j] at j*s + m, by Q(theta) products: the
+    Q system `NumberField.solve` must embed into."""
+    s, theta = field.degree, field.gen()
+    out = []
+    for row in rows:
+        entries = [field.elem(row[k : k + s]) for k in range(0, len(row), s)]
+        for m in range(s):
+            out.append([c for e in entries for c in (e * theta**m).coeffs])
+    return out
+
+
 def solve_embedded(field, A, b):
-    """(solution, x): the integer solver's answer on the embedding of
-    A x = b, and x over Q(theta) (None if inconsistent)."""
+    """(solution, x): `NumberField.solve` on A x = b, read as the
+    coordinates of b over the columns of A, and x over Q(theta) (None if
+    inconsistent)."""
     s = field.degree
-    rows, den = embed_matrix(field, A)
-    (rhs,), rhs_den = embed_rows([field.vec(b)])
-    sol = field_solve(rows, [[den * v for v in rhs]])
+    rows, targets, _ = embedded_columns(field, A, [b])
+    sol = field.solve(rows, targets)
     (x,) = sol.columns
     if x is None:
         return sol, None
-    coords = [Fraction(v, sol.det * rhs_den) for v in x]
+    coords = [Fraction(v, sol.det) for v in x]
     return sol, [field.elem(coords[j * s : (j + 1) * s]) for j in range(len(A[0]))]
 
 
@@ -169,15 +189,14 @@ def test_rank_and_solution_match_reference(system):
     assert sol.rank % s == 0
     assert sol.rank // s == ref_field_rank(A, field.one())
     # the embedded Q system against the Fraction elimination it replaced
-    rows, den = embed_matrix(field, A)
-    (rhs,), rhs_den = embed_rows([field.vec(b)])
-    expected = ref_row_solve([list(col) for col in zip(*rows)], [den * v for v in rhs])
+    rows, (target,), _ = embedded_columns(field, A, [b])
+    expected = ref_row_solve(theta_power_rows(field, rows), target)
     assert (x is None) == (expected is None)
     augmented = [row + [target] for row, target in zip(A, b)]
     assert (x is None) == (ref_field_rank(augmented, field.one()) > ref_field_rank(A, field.one()))
     if x is None:
         return
-    assert [c for e in x for c in e.coeffs] == [v / rhs_den for v in expected]
+    assert [c for e in x for c in e.coeffs] == expected
     for row, target in zip(A, b):
         assert sum((a * v for a, v in zip(row, x)), field.zero()) == target
 
@@ -193,9 +212,10 @@ def test_inverse_matches_reference(system):
         expected = ref_field_solve(A, units, field.one())
     except TilingError:
         expected = None
-    rows, den = embed_matrix(field, A)
+    # the coordinates of den * e_j over the columns of den * A: column j of A^-1
+    rows, _, den = embedded_columns(field, A)
     n = d * field.degree
-    sol = field_solve(rows, [[den * (i == j * field.degree) for i in range(n)] for j in range(d)])
+    sol = field.solve(rows, [[den * (i == j * field.degree) for i in range(n)] for j in range(d)])
     assert (sol.rank == n) == (expected is not None)
     if expected is None:
         try:

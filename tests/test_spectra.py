@@ -1,8 +1,10 @@
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from tilingspectra import TilingError, UndecidedError
+from tilingspectra import TilingError, UndecidedError, corpus, lattice, spectra
 from tilingspectra.spectra import (
     Alpha,
     convergence_diagnostic,
@@ -15,6 +17,7 @@ from tilingspectra.spectra import (
     system_module,
     weak_mixing,
 )
+from tilingspectra.systemfile import parse_system
 
 
 def test_dual_basis_identity(grid2):
@@ -35,6 +38,41 @@ def test_dual_basis_2d_frozen(grid2):
     dual = dual_basis([K.vec([1, 1]), K.vec([0, 1])])
     # <b_i, b*_j> = delta_ij solved exactly
     assert [v.serialize() for v in dual] == [[["1"], ["0"]], [["-1"], ["1"]]]
+
+
+TRIBONACCI = Path(__file__).resolve().parent.parent / "perfbench" / "systems" / "tribonacci.json"
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "tribonacci", "chair"])
+def test_eigenvalue_module_solves_no_system_after_the_kenyon_basis(name, monkeypatch):
+    # the generators are the duals of the Kenyon basis, read off the
+    # coordinate map it was built with: no exact solve after it returns
+    system = parse_system(TRIBONACCI) if name == "tribonacci" else corpus.load(name)
+    events, solve, basis = [], lattice.field_solve, spectra.coordinate_basis
+
+    def spy_solve(*args, **kwargs):
+        events.append("solve")
+        return solve(*args, **kwargs)
+
+    def spy_basis(*args, **kwargs):
+        kb = basis(*args, **kwargs)
+        events.append("basis")
+        return kb
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("tilingspectra."):
+            if getattr(module, "field_solve", None) is solve:
+                monkeypatch.setattr(module, "field_solve", spy_solve)
+    monkeypatch.setattr(spectra, "coordinate_basis", spy_basis)
+    emod = eigenvalue_module(system)
+    assert events.count("basis") == 1 and "solve" in events
+    assert "solve" not in events[events.index("basis") :]
+    # <b_i, g_j> = delta_ij on the Kenyon basis, by products alone
+    kb = basis(system, system_module(system))
+    assert len(emod.generators) == len(kb.basis) == system.dimension
+    for i, b in enumerate(kb.basis):
+        for j, g in enumerate(emod.generators):
+            assert b.dot(g.coords) == int(i == j)
 
 
 def test_zero_is_always_an_eigenvalue(systems):
